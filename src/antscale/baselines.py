@@ -1,11 +1,11 @@
 """Comparison deciders: reactive rules, weighted-sum searches, and a GA.
 
-The single-objective searches collapse all objectives into one score: weights
-default to 1 and each objective is min-max normalized over the values seen so
-far in the current search, so the score of a candidate can shift as the
-search widens its view. The genetic optimizer keeps the objectives separate
-and returns its final non-dominated front; callers wanting one decision take
-the front member with the best normalized weighted sum.
+The single-objective searches collapse all objectives into one score: each
+objective is min-max normalized over the values seen so far in the current
+search and the normalized values are summed, so the score of a candidate can
+shift as the search widens its view. The genetic optimizer keeps the
+objectives separate and returns its final non-dominated front; callers
+wanting one decision take the front member with the best normalized sum.
 """
 
 import time
@@ -14,31 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colony import DecisionArchive
-from .domain import ConfigError, Decision
+from .domain import SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, root_id
 from .simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA
-
-
-@dataclass
-class WeightedSumConfig:
-    """Per-objective weights for the collapsed score; None means all ones."""
-
-    weights: np.ndarray | None = None
-
-    def resolve(self, m: int) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(m)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (m,):
-            raise ConfigError(f"weighted sum: expected {m} weights, got {w.shape}")
-        return w
 
 
 class RunningSpan:
     """Per-objective min/max tracker giving direction-aware badness scores."""
 
-    def __init__(self, signs, weights):
+    def __init__(self, signs):
         self.signs = np.asarray(signs, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
         m = len(self.signs)
         self.lo = np.full(m, np.inf)
         self.hi = np.full(m, -np.inf)
@@ -49,7 +33,7 @@ class RunningSpan:
         self.hi = np.maximum(self.hi, vectors.max(axis=0))
 
     def score(self, vectors: np.ndarray) -> np.ndarray:
-        """Weighted sum of normalized badness; 0 is the best seen per objective."""
+        """Sum of normalized badness; 0 is the best seen per objective."""
         vectors = np.atleast_2d(vectors)
         span = self.hi - self.lo
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -57,13 +41,13 @@ class RunningSpan:
             toward_min = (vectors - self.lo[None, :]) / span[None, :]
         badness = np.where(self.signs[None, :] > 0, toward_max, toward_min)
         badness = np.where(span[None, :] > 0, badness, 0.0)
-        return (badness * self.weights[None, :]).sum(axis=1)
+        return badness.sum(axis=1)
 
 
-def weighted_best(vectors: np.ndarray, signs, weights=None) -> int:
-    """Index of the best row under a weighted sum normalized over the set."""
+def weighted_best(vectors: np.ndarray, signs) -> int:
+    """Index of the best row under the sum normalized over the set."""
     vectors = np.atleast_2d(vectors)
-    span = RunningSpan(signs, np.ones(vectors.shape[1]) if weights is None else weights)
+    span = RunningSpan(signs)
     span.update(vectors)
     return int(np.argmin(span.score(vectors)))
 
@@ -97,13 +81,12 @@ def rule_decide(runtime, trigger, observed: dict) -> Decision:
         breached_vms = {
             svc.vm
             for svc in runtime.model.topology.services
-            if svc.id.split("~r")[0] in breached_services
+            if root_id(svc.id) in breached_services
         }
         for pid, spec in zip(runtime.region.primitive_ids, runtime.specs):
             serves = (
-                (spec.scope == "per-service"
-                 and spec.owner.split("~r")[0] in breached_services)
-                or (spec.scope == "per-vm-shared" and spec.owner in breached_vms)
+                (spec.scope == SCOPE_SERVICE and root_id(spec.owner) in breached_services)
+                or (spec.scope == SCOPE_VM and spec.owner in breached_vms)
             )
             if serves:
                 assignments[pid] = min(assignments[pid] + spec.step, spec.upper_bound)
@@ -125,16 +108,15 @@ def _random_rows(grids, n: int, rng) -> np.ndarray:
     return rows
 
 
-def random_search(runtime, budget: int, rng, wcfg: WeightedSumConfig | None = None,
+def random_search(runtime, budget: int, rng,
                   time_budget_s: float | None = None) -> Decision:
-    """Uniform sampling over the grids; best weighted-sum row wins.
+    """Uniform sampling over the grids; best normalized-sum row wins.
 
     Normalization bounds come from everything sampled, so scores are settled
     only once sampling ends.
     """
     model = runtime.model
-    weights = (wcfg or WeightedSumConfig()).resolve(len(model.objective_ids))
-    span = RunningSpan(model.direction_signs, weights)
+    span = RunningSpan(model.direction_signs)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     all_rows, all_vecs = [], []
     remaining = max(int(budget), 1)
@@ -153,7 +135,7 @@ def random_search(runtime, budget: int, rng, wcfg: WeightedSumConfig | None = No
     return _row_decision(runtime, rows[best])
 
 
-def hill_climb(runtime, budget: int, rng, wcfg: WeightedSumConfig | None = None,
+def hill_climb(runtime, budget: int, rng,
                time_budget_s: float | None = None) -> Decision:
     """First-improvement climbing over one-notch moves, with random restarts.
 
@@ -163,8 +145,7 @@ def hill_climb(runtime, budget: int, rng, wcfg: WeightedSumConfig | None = None,
     """
     model = runtime.model
     grids = runtime.grids
-    weights = (wcfg or WeightedSumConfig()).resolve(len(model.objective_ids))
-    span = RunningSpan(model.direction_signs, weights)
+    span = RunningSpan(model.direction_signs)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     budget = max(int(budget), 1)
     evals = 0

@@ -111,22 +111,20 @@ def compute_heuristics(model, env, current_row: np.ndarray, grids) -> HeuristicF
     return HeuristicField(out)
 
 
-def selection_probabilities(pheromone: PheromoneField, heuristic: HeuristicField,
-                            objective: int, primitive: int, cfg: MoacoConfig) -> np.ndarray:
-    """Normalized selection distribution over one primitive's grid."""
-    weights = (
-        pheromone.trails[primitive][objective] ** cfg.alpha
-        * heuristic.values[primitive] ** cfg.beta
-    )
-    return weights / weights.sum()
+def selection_cdfs(pheromone: PheromoneField, heuristic: HeuristicField,
+                   cfg: MoacoConfig) -> list:
+    """Per primitive, one cumulative selection distribution per objective.
 
-
-def select_value(pheromone: PheromoneField, heuristic: HeuristicField,
-                 objective: int, primitive: int, rng, cfg: MoacoConfig) -> int:
-    """Sample a grid index for one primitive under one objective's trails."""
-    p = selection_probabilities(pheromone, heuristic, objective, primitive, cfg)
-    cdf = np.cumsum(p)
-    return int(min(np.searchsorted(cdf, rng.random(), side="right"), len(p) - 1))
+    Row ``o`` of entry ``a`` is the cdf over primitive ``a``'s grid of the
+    weights trail^alpha * heuristic^beta under objective ``o``'s trails.
+    """
+    cdfs = []
+    for trails, eta in zip(pheromone.trails, heuristic.values):
+        w = trails ** cfg.alpha * (eta ** cfg.beta)[None, :]
+        cdf = np.cumsum(w, axis=1)
+        cdf /= cdf[:, -1:]
+        cdfs.append(cdf)
+    return cdfs
 
 
 def deposit(pheromone: PheromoneField, objective: int, best_indices, h_best: float,
@@ -161,45 +159,6 @@ def update_bounds(pheromone: PheromoneField, objective: int, h_best: float,
         tau_max = 1.0 / (max(h_best, EPS) * (1.0 - rho))
     pheromone.tau_max[objective] = tau_max
     pheromone.tau_min[objective] = floor_ratio * tau_max
-
-
-@dataclass
-class AntResult:
-    decision: Decision
-    objectives: np.ndarray
-    violation_count: int
-    runs_used: int
-
-
-def ant_construct(objective: int, model, env, grids, pheromone: PheromoneField,
-                  heuristic: HeuristicField, cfg: MoacoConfig, rng) -> AntResult:
-    """Build one decision for one objective, retrying until it satisfies.
-
-    Each retry samples every primitive independently from the objective's
-    trails. The first decision predicted to breach no requirement returns
-    immediately; otherwise, after ``max_run`` attempts, the attempt with the
-    best value for this ant's own objective is returned.
-    """
-    sign = model.direction_signs[objective]
-    best = None
-    best_h = None
-    for run in range(1, cfg.max_run + 1):
-        row = np.empty(len(grids))
-        for a, grid in enumerate(grids):
-            row[a] = grid[select_value(pheromone, heuristic, objective, a, rng, cfg)]
-        vec = model.predict_matrix(row[None, :], env)[0]
-        violations = int(model.violation_counts(vec)[0])
-        if violations == 0:
-            return AntResult(_row_decision(model, row), vec, 0, run)
-        h = vec[objective] * sign
-        if best_h is None or h > best_h:
-            best, best_h = (row, vec, violations), h
-    row, vec, violations = best
-    return AntResult(_row_decision(model, row), vec, violations, cfg.max_run)
-
-
-def _row_decision(model, row) -> Decision:
-    return Decision({pid: int(v) for pid, v in zip(model.region_pids, row)})
 
 
 class DecisionArchive:
@@ -283,12 +242,7 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         if out_of_time:
             break
         t0 = time.perf_counter()
-        cdfs = []
-        for a in range(n_prims):
-            w = pher.trails[a] ** cfg.alpha * (heur.values[a] ** cfg.beta)[None, :]
-            cdf = np.cumsum(w, axis=1)
-            cdf /= cdf[:, -1:]
-            cdfs.append(cdf)
+        cdfs = selection_cdfs(pher, heur, cfg)
 
         n_ant = cfg.max_ant
         frozen_rows = np.zeros((n_ant, n_prims))
@@ -316,18 +270,20 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
             viols = model.violation_counts(vecs)
             constructions += open_ants.size
             h = vecs[np.arange(open_ants.size), objs] * signs[objs]
-            for local, ant in enumerate(open_ants):
-                if viols[local] == 0:
-                    frozen_rows[ant] = rows[local]
-                    frozen_vecs[ant] = vecs[local]
-                    frozen_viol[ant] = 0
-                    done[ant] = True
-                elif not has_best[ant] or h[local] > best_h[ant]:
-                    best_rows[ant] = rows[local]
-                    best_vecs[ant] = vecs[local]
-                    best_viol[ant] = viols[local]
-                    best_h[ant] = h[local]
-                    has_best[ant] = True
+            # each open ant appears once per round, so masked writes match
+            # settling the ants one by one
+            ok = viols == 0
+            satisfied = open_ants[ok]
+            done[satisfied] = True
+            frozen_rows[satisfied] = rows[ok]
+            frozen_vecs[satisfied] = vecs[ok]
+            better = ~ok & (~has_best[open_ants] | (h > best_h[open_ants]))
+            improved = open_ants[better]
+            best_rows[improved] = rows[better]
+            best_vecs[improved] = vecs[better]
+            best_viol[improved] = viols[better]
+            best_h[improved] = h[better]
+            has_best[improved] = True
             if deadline is not None and time.perf_counter() > deadline:
                 out_of_time = True
                 break

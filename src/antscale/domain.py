@@ -20,6 +20,9 @@ SCOPE_SERVICE = "per-service"
 SCOPE_VM = "per-vm-shared"
 SCOPES = (SCOPE_SERVICE, SCOPE_VM)
 
+# scale-out names a replica "<root>~r<n>"; clones of replicas stack suffixes
+REPLICA_MARK = "~r"
+
 KIND_RESPONSE_TIME = "response_time"
 KIND_THROUGHPUT = "throughput"
 KIND_RELIABILITY = "reliability"
@@ -43,6 +46,21 @@ KNOWN_MODELS = (MODEL_QUEUE, MODEL_PRICE_SUM)
 
 class ConfigError(Exception):
     """Raised when a scenario document cannot be used as configured."""
+
+
+def replica_id(base: str, n: int) -> str:
+    """Id of the ``n``-th replica cloned from the VM or service ``base``."""
+    return f"{base}{REPLICA_MARK}{n}"
+
+
+def root_id(instance_id: str) -> str:
+    """The scenario-declared VM or service a (possibly replica) id derives from."""
+    return instance_id.split(REPLICA_MARK)[0]
+
+
+def is_replica(instance_id: str) -> bool:
+    """True for replica VMs and services and for the primitives they own."""
+    return REPLICA_MARK in instance_id
 
 
 @dataclass(frozen=True)
@@ -92,20 +110,6 @@ class ControlPrimitiveSpec:
 
     def with_bounds(self, lower: int, upper: int) -> "ControlPrimitiveSpec":
         return dataclasses.replace(self, lower_bound=int(lower), upper_bound=int(upper))
-
-
-@dataclass(frozen=True)
-class EnvironmentalPrimitive:
-    """An observed, uncontrollable input series such as workload per interval."""
-
-    id: str
-    owner: str
-    values: tuple = ()
-
-    def latest(self) -> float:
-        if not self.values:
-            raise ValueError(f"environmental primitive {self.id} has no samples")
-        return self.values[-1]
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,14 @@ from .domain import (
     MINIMIZE,
     MODEL_PRICE_SUM,
     MODEL_QUEUE,
+    SCOPE_SERVICE,
+    SCOPE_VM,
     ConfigError,
     Decision,
     Region,
     Scenario,
     Topology,
+    root_id,
 )
 
 RES_CPU = "cpu"
@@ -71,11 +74,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _root_service(service_id: str) -> str:
-    # replica instances carry a "~r<n>" suffix; objectives belong to the root
-    return service_id.split("~r")[0]
-
-
 class RegionModel:
     """Batched evaluator for one region's objectives against a topology snapshot.
 
@@ -112,11 +110,11 @@ class RegionModel:
         cpu_idx, mem_idx = {}, {}
         thr_idx = {}
         for pid, spec in prim_specs.items():
-            if spec.scope == "per-vm-shared" and spec.resource == RES_CPU:
+            if spec.scope == SCOPE_VM and spec.resource == RES_CPU:
                 cpu_idx[spec.owner] = self._all_index[pid]
-            elif spec.scope == "per-vm-shared" and spec.resource == RES_MEMORY:
+            elif spec.scope == SCOPE_VM and spec.resource == RES_MEMORY:
                 mem_idx[spec.owner] = self._all_index[pid]
-            elif spec.scope == "per-service" and spec.resource == RES_THREAD:
+            elif spec.scope == SCOPE_SERVICE and spec.resource == RES_THREAD:
                 thr_idx[spec.owner] = self._all_index[pid]
 
         services = list(topology.services)
@@ -146,7 +144,7 @@ class RegionModel:
             if o.kind == KIND_RESPONSE_TIME
         }
         self._rt_ref = np.array(
-            [rt_by_owner.get(_root_service(s), self.params.rel_rt_ref_ms)
+            [rt_by_owner.get(root_id(s), self.params.rel_rt_ref_ms)
              for s in self._service_ids]
         )
 
@@ -154,7 +152,7 @@ class RegionModel:
         self._member_idx = [
             np.array([
                 svc_index[svc.id] for svc in services
-                if _root_service(svc.id) == o.owner
+                if root_id(svc.id) == o.owner
             ])
             for o in self.objectives
         ]
@@ -167,15 +165,15 @@ class RegionModel:
                 self._cost_cols.append(None)
                 continue
             member_ids = {
-                svc.id for svc in services if _root_service(svc.id) == obj.owner
+                svc.id for svc in services if root_id(svc.id) == obj.owner
             }
             member_vms = {
                 svc.vm for svc in services if svc.id in member_ids
             }
             weights = np.zeros(len(self.all_pids))
             for pid, spec in prim_specs.items():
-                if (spec.scope == "per-service" and spec.owner in member_ids) or (
-                    spec.scope == "per-vm-shared" and spec.owner in member_vms
+                if (spec.scope == SCOPE_SERVICE and spec.owner in member_ids) or (
+                    spec.scope == SCOPE_VM and spec.owner in member_vms
                 ):
                     weights[self._all_index[pid]] = spec.price
             self._cost_cols.append(weights)
@@ -274,10 +272,6 @@ class RegionModel:
     def predict_vector(self, decision: Decision, env) -> np.ndarray:
         return self.predict_matrix(self.decision_to_row(decision)[None, :], env)[0]
 
-    def predict(self, objective_id: str, decision: Decision, env) -> float:
-        j = self.objective_ids.index(objective_id)
-        return float(self.predict_vector(decision, env)[j])
-
     def observe_vector(self, decision: Decision, env, rng) -> np.ndarray:
         """Noisy measurement of what a deployed decision would yield.
 
@@ -299,10 +293,6 @@ class RegionModel:
                 noisy[j] = min(max(noisy[j], 0.0), 100.0)
         return noisy
 
-    def observe(self, objective_id: str, decision: Decision, env, rng) -> float:
-        j = self.objective_ids.index(objective_id)
-        return float(self.observe_vector(decision, env, rng)[j])
-
     def violation_counts(self, vectors: np.ndarray) -> np.ndarray:
         """Number of breached requirements per row, meeting exactly is a pass."""
         vectors = np.atleast_2d(vectors)
@@ -314,8 +304,8 @@ class DemandModel:
     """Workload-driven requirement proxies behind utilization and provisioning.
 
     Demand is what the current workload would need of a primitive; dividing by
-    the provisioned value gives utilization. The same series doubles as the
-    per-interval requirement record for over/under-provisioning accounting.
+    the provisioned value gives :func:`utilization`. The same series doubles as
+    the per-interval requirement record for over/under-provisioning accounting.
     """
 
     def __init__(self, params: ModelParams):
@@ -324,7 +314,7 @@ class DemandModel:
     def demand(self, spec, topology: Topology, workloads: dict):
         """Requirement estimate for one primitive, or None if untracked."""
         p = self.params
-        if spec.scope == "per-vm-shared":
+        if spec.scope == SCOPE_VM:
             load = sum(
                 float(workloads.get(svc.id, 0.0))
                 for svc in topology.services_on_vm(spec.owner)
@@ -338,10 +328,7 @@ class DemandModel:
             return float(workloads.get(spec.owner, 0.0)) * p.thread_demand_per_req
         return None
 
-    def utilization_of(self, spec, provision: float, topology: Topology, workloads: dict):
-        d = self.demand(spec, topology, workloads)
-        if d is None:
-            return None
-        if provision <= 0:
-            return 1.0
-        return min(1.0, d / provision)
+
+def utilization(demand: float, provision: float) -> float:
+    """Share of a provisioned value the demand would use, saturating at one."""
+    return 1.0 if provision <= 0 else min(1.0, demand / provision)

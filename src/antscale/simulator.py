@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import (
+    SCOPE_SERVICE,
+    SCOPE_VM,
     ControlPrimitiveSpec,
     Decision,
     Region,
@@ -21,8 +23,11 @@ from .domain import (
     ServiceInstance,
     Topology,
     VirtualMachine,
+    is_replica,
+    replica_id,
+    root_id,
 )
-from .qosmodel import DemandModel, ModelParams, RegionModel
+from .qosmodel import DemandModel, ModelParams, RegionModel, utilization
 
 TRIGGER_SLA = "sla-violation"
 TRIGGER_LOW_UTIL = "low-utilization"
@@ -154,7 +159,7 @@ class Simulator:
         extras = sorted(
             pid
             for pid, spec in self.prim_specs.items()
-            if "~r" in spec.owner and self._root_of(spec.owner) in owners
+            if is_replica(spec.owner) and root_id(spec.owner) in owners
         )
         if not extras:
             return region
@@ -192,7 +197,7 @@ class Simulator:
             for pid, value in decision.assignments.items():
                 if pid not in self.config:
                     # a clone can be reclaimed between decision and apply
-                    if "~r" in pid:
+                    if is_replica(pid):
                         continue
                     raise KeyError(f"decision touches unknown primitive {pid}")
                 self.config[pid] = int(value)
@@ -209,8 +214,7 @@ class Simulator:
             if d is None:
                 continue
             demands[pid] = d
-            provision = float(self.config[pid])
-            utilizations[pid] = 1.0 if provision <= 0 else min(1.0, d / provision)
+            utilizations[pid] = utilization(d, float(self.config[pid]))
 
         env = EnvironmentState(
             interval_index=self.interval,
@@ -252,13 +256,13 @@ class Simulator:
     def _vm_prims(self, vm_id: str) -> list:
         return [
             pid for pid, s in self.prim_specs.items()
-            if s.scope == "per-vm-shared" and s.owner == vm_id
+            if s.scope == SCOPE_VM and s.owner == vm_id
         ]
 
     def _service_prims(self, service_id: str) -> list:
         return [
             pid for pid, s in self.prim_specs.items()
-            if s.scope == "per-service" and s.owner == service_id
+            if s.scope == SCOPE_SERVICE and s.owner == service_id
         ]
 
     def _evaluate_horizontal(self, env: EnvironmentState, events: list) -> None:
@@ -281,7 +285,7 @@ class Simulator:
 
         # scale-in: a replica VM idling at its minimums is reclaimed next interval
         for vm in self.topology.vms:
-            if "~r" not in vm.id:
+            if not is_replica(vm.id):
                 continue
             pids = self._vm_prims(vm.id) + [
                 pid for svc in self.topology.services_on_vm(vm.id)
@@ -357,13 +361,10 @@ class Simulator:
         if changed:
             self._models = {}
 
-    def _root_of(self, service_id: str) -> str:
-        return service_id.split("~r")[0]
-
     def _clone_vm(self, source_id: str, target_pm: str, events: list) -> None:
         n = next(self._replica_seq)
         source = self.topology.vm_by_id(source_id)
-        new_vm = VirtualMachine(id=f"{source_id}~r{n}", pm=target_pm)
+        new_vm = VirtualMachine(id=replica_id(source_id, n), pm=target_pm)
         new_services = []
         new_specs = {}
         for pid in self._vm_prims(source_id):
@@ -371,7 +372,7 @@ class Simulator:
             clone = dataclasses.replace(template, id=f"{new_vm.id}.{template.resource}", owner=new_vm.id)
             new_specs[clone.id] = clone
         for svc in self.topology.services_on_vm(source_id):
-            replica = ServiceInstance(id=f"{svc.id}~r{n}", vm=new_vm.id, managed=False)
+            replica = ServiceInstance(id=replica_id(svc.id, n), vm=new_vm.id, managed=False)
             new_services.append(replica)
             for pid in self._service_prims(svc.id):
                 template = self.scenario.primitives.get(pid, self.prim_specs[pid])
@@ -379,7 +380,7 @@ class Simulator:
                     template, id=f"{replica.id}.{template.resource}", owner=replica.id
                 )
                 new_specs[clone.id] = clone
-            self.groups[self._root_of(svc.id)].append(replica.id)
+            self.groups[root_id(svc.id)].append(replica.id)
         self.topology = Topology(
             pms=self.topology.pms,
             vms=self.topology.vms + (new_vm,),
@@ -399,7 +400,7 @@ class Simulator:
         doomed_prims = set(self._vm_prims(vm_id))
         for sid in doomed_services:
             doomed_prims.update(self._service_prims(sid))
-            root = self._root_of(sid)
+            root = root_id(sid)
             if root in self.groups and sid in self.groups[root]:
                 self.groups[root].remove(sid)
         self.topology = Topology(

@@ -22,7 +22,7 @@ from antscale.colony import (
     OptimizeStats,
     compute_heuristics,
     optimize,
-    selection_probabilities,
+    selection_cdfs,
 )
 from antscale.domain import MAXIMIZE, MINIMIZE, load_scenario
 from antscale.dominance import (
@@ -227,12 +227,20 @@ def test_criterion_04_trail_bounds_and_distributions(capsys):
                     ok = False
                     detail = f"trail outside bounds after iteration {iterations}"
         if iterations == 5:
-            for o in range(len(model.objective_ids)):
-                for a in range(len(runtime.grids)):
-                    total = selection_probabilities(pher, stats.heuristic, o, a, cfg).sum()
-                    if abs(total - 1.0) > 1e-12:
-                        ok = False
-                        detail = f"probabilities sum to {total!r}"
+            # the sampled distribution is the cdf's increments; rebuild it
+            # from trail^alpha * heuristic^beta independently
+            cdfs = selection_cdfs(pher, stats.heuristic, cfg)
+            for a, cdf in enumerate(cdfs):
+                probs = np.diff(cdf, axis=1, prepend=0.0)
+                weights = pher.trails[a] ** cfg.alpha * stats.heuristic.values[a] ** cfg.beta
+                expected = weights / weights.sum(axis=1, keepdims=True)
+                total = cdf[:, -1]
+                if (np.abs(total - 1.0) > 1e-12).any():
+                    ok = False
+                    detail = f"probabilities sum to {total!r}"
+                elif not np.allclose(probs, expected, rtol=1e-9, atol=1e-12):
+                    ok = False
+                    detail = f"primitive {a}: sampled distribution is not trail^a * eta^b"
     check(capsys, 4, "trail bounds and distributions", ok, detail)
 
 

@@ -64,12 +64,6 @@ def test_weighted_best_single_objective_is_plain_argbest():
     assert weighted_best(vectors, signs=(1.0,)) == 0
 
 
-def test_weights_shift_the_balance():
-    vectors = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert weighted_best(vectors, signs=(-1.0, -1.0), weights=(10.0, 1.0)) == 0
-    assert weighted_best(vectors, signs=(-1.0, -1.0), weights=(1.0, 10.0)) == 1
-
-
 # -- reactive rule ---------------------------------------------------------
 
 

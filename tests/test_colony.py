@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antscale.colony import (
     DecisionArchive,
@@ -9,11 +11,10 @@ from antscale.colony import (
     MoacoConfig,
     OptimizeStats,
     PheromoneField,
-    ant_construct,
     compute_heuristics,
     deposit,
     optimize,
-    selection_probabilities,
+    selection_cdfs,
     update_bounds,
 )
 from antscale.domain import ConfigError
@@ -43,6 +44,24 @@ class MappedModel:
             return np.zeros(vectors.shape[0], dtype=int)
         gaps = (vectors - self._thresholds[None, :]) * self.direction_signs[None, :]
         return (gaps < 0).sum(axis=1)
+
+
+class RecordingModel(MappedModel):
+    """MappedModel that keeps every batch of rows it is asked to predict."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def predict_matrix(self, rows, env):
+        self.calls.append(np.array(rows, dtype=float))
+        return super().predict_matrix(rows, env)
+
+    def constructed_rows(self, grids):
+        """Rows sampled by ants: every batch after the heuristic's two calls."""
+        assert self.calls[0].shape[0] == sum(len(g) for g in grids)
+        assert self.calls[1].shape[0] == 1
+        return np.vstack(self.calls[2:])
 
 
 def table_model(table, directions, pids=("p0",), thresholds=None):
@@ -105,37 +124,47 @@ def moaco_cfg(**overrides):
     return MoacoConfig.from_dict(overrides)
 
 
+def selection_increments(cdfs):
+    """Per-value selection probabilities recovered from cumulative rows."""
+    return [np.diff(cdf, axis=1, prepend=0.0) for cdf in cdfs]
+
+
 def test_selection_probability_ratio():
     pher = PheromoneField(1, [2])
     pher.trails[0][0] = np.array([2.0, 1.0])
     heur = HeuristicField([np.array([1.0, 1.0])])
-    probs = selection_probabilities(pher, heur, 0, 0, moaco_cfg(alpha=1.0, beta=1.0))
+    cdfs = selection_cdfs(pher, heur, moaco_cfg(alpha=1.0, beta=1.0))
+    probs = selection_increments(cdfs)[0][0]
     assert probs == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
-    assert abs(probs.sum() - 1.0) < 1e-12
+    assert cdfs[0][0, -1] == 1.0
 
 
 def test_uniform_weights_sample_uniformly():
-    from antscale.colony import select_value
-
-    pher = PheromoneField(1, [4])
-    heur = HeuristicField([np.ones(4)])
-    cfg = moaco_cfg(alpha=1.0, beta=1.0)
-    rng = np.random.default_rng(5)
-    counts = np.zeros(4)
-    draws = 100_000
-    for _ in range(draws):
-        counts[select_value(pher, heur, 0, 0, rng, cfg)] += 1
-    assert np.allclose(counts / draws, 0.25, atol=0.01)
+    # constant outcomes give a flat heuristic, and fresh trails are flat too;
+    # an unmeetable threshold keeps every ant sampling for all its retries
+    model = RecordingModel(
+        lambda rows: np.ones((rows.shape[0], 1)), ("min",), thresholds=(0.0,)
+    )
+    grids = [np.array([0.0, 1.0, 2.0, 3.0])]
+    stats = OptimizeStats()
+    cfg = moaco_cfg(max_ant=1000, max_iteration=1, max_run=100)
+    optimize(model, None, np.array([0.0]), grids, cfg,
+             np.random.default_rng(5), stats=stats)
+    drawn = model.constructed_rows(grids)[:, 0]
+    assert drawn.size == stats.constructions == 100_000
+    counts = np.array([(drawn == v).sum() for v in grids[0]])
+    assert np.allclose(counts / drawn.size, 0.25, atol=0.01)
 
 
 def test_single_value_grid_always_selected():
-    from antscale.colony import select_value
-
-    pher = PheromoneField(1, [1])
-    heur = HeuristicField([np.array([0.7])])
-    rng = np.random.default_rng(0)
-    cfg = moaco_cfg()
-    assert all(select_value(pher, heur, 0, 0, rng, cfg) == 0 for _ in range(50))
+    model = RecordingModel(
+        lambda rows: np.ones((rows.shape[0], 1)), ("min",), thresholds=(0.0,)
+    )
+    grids = [np.array([4.0])]
+    optimize(model, None, np.array([4.0]), grids,
+             moaco_cfg(max_ant=10, max_iteration=2, max_run=5),
+             np.random.default_rng(0))
+    assert (model.constructed_rows(grids) == 4.0).all()
 
 
 # -- pheromone updates -----------------------------------------------------
@@ -184,34 +213,36 @@ def test_clamp_pulls_runaway_trails_into_bounds():
 # -- single-ant construction ----------------------------------------------
 
 
+def single_ant(model, grids, current, max_run, seed):
+    """One ant in one iteration; ``stats.constructions`` counts its retries."""
+    stats = OptimizeStats()
+    archive = optimize(
+        model, None, np.asarray(current, dtype=float), grids,
+        moaco_cfg(max_ant=1, max_iteration=1, max_run=max_run),
+        np.random.default_rng(seed), stats=stats,
+    )
+    (entry,) = archive.entries()
+    return entry, stats
+
+
 def test_construction_returns_first_satisfying_decision():
     model = table_model(
         {0: (5.0,), 1: (1.0,)}, ("min",), thresholds=(10.0,)
     )
-    pher = PheromoneField(1, [2])
-    heur = HeuristicField([np.ones(2)])
-    result = ant_construct(
-        0, model, None, [np.array([0.0, 1.0])], pher, heur,
-        moaco_cfg(max_run=30), np.random.default_rng(1),
-    )
-    assert result.violation_count == 0
-    assert result.runs_used == 1
+    entry, stats = single_ant(model, [np.array([0.0, 1.0])], [0.0], 30, 1)
+    assert entry.violation_count == 0
+    assert stats.constructions == 1
 
 
 def test_construction_exhausts_retries_when_unsatisfiable():
     model = table_model(
         {0: (5.0,), 1: (7.0,)}, ("min",), thresholds=(2.0,)
     )
-    pher = PheromoneField(1, [2])
-    heur = HeuristicField([np.ones(2)])
-    result = ant_construct(
-        0, model, None, [np.array([0.0, 1.0])], pher, heur,
-        moaco_cfg(max_run=8), np.random.default_rng(1),
-    )
-    assert result.runs_used == 8
-    assert result.violation_count > 0
+    entry, stats = single_ant(model, [np.array([0.0, 1.0])], [0.0], 8, 1)
+    assert stats.constructions == 8
+    assert entry.violation_count > 0
     # fallback is the best try for this ant's own objective
-    assert result.objectives[0] == 5.0
+    assert entry.objectives[0] == 5.0
 
 
 def test_construction_on_singleton_grids_is_forced():
@@ -219,13 +250,10 @@ def test_construction_on_singleton_grids_is_forced():
         return np.full((rows.shape[0], 1), 2.0)
 
     model = MappedModel(fn, ("min",), pids=("p0", "p1"))
-    pher = PheromoneField(1, [1, 1])
-    heur = HeuristicField([np.ones(1), np.ones(1)])
-    result = ant_construct(
-        0, model, None, [np.array([3.0]), np.array([7.0])], pher, heur,
-        moaco_cfg(), np.random.default_rng(0),
+    entry, _ = single_ant(
+        model, [np.array([3.0]), np.array([7.0])], [3.0, 7.0], 100, 0
     )
-    assert result.decision.assignments == {"p0": 3, "p1": 7}
+    assert entry.decision.assignments == {"p0": 3, "p1": 7}
 
 
 # -- archive ---------------------------------------------------------------
@@ -327,10 +355,15 @@ def test_selection_probabilities_normalized_after_full_run():
         runtime.model, runtime.env, runtime.current, runtime.grids,
         cfg, np.random.default_rng(9), stats=stats,
     )
-    for o in range(len(runtime.model.objective_ids)):
-        for a in range(len(runtime.grids)):
-            probs = selection_probabilities(stats.pheromone, stats.heuristic, o, a, cfg)
-            assert abs(probs.sum() - 1.0) < 1e-12
+    cdfs = selection_cdfs(stats.pheromone, stats.heuristic, cfg)
+    for a, probs in enumerate(selection_increments(cdfs)):
+        weights = (
+            stats.pheromone.trails[a] ** cfg.alpha
+            * stats.heuristic.values[a][None, :] ** cfg.beta
+        )
+        expected = weights / weights.sum(axis=1, keepdims=True)
+        assert np.allclose(probs, expected, rtol=1e-9, atol=1e-12)
+        assert (np.abs(cdfs[a][:, -1] - 1.0) < 1e-12).all()
 
 
 def test_config_rejects_unknown_and_nonpositive_settings():
@@ -342,3 +375,38 @@ def test_config_rejects_unknown_and_nonpositive_settings():
             runtime.model, runtime.env, runtime.current, runtime.grids,
             moaco_cfg(max_ant=0), np.random.default_rng(0),
         )
+
+
+# -- properties ------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_ant=st.integers(1, 6),
+    max_iteration=st.integers(1, 3),
+    max_run=st.integers(1, 4),
+    workload=st.floats(40.0, 200.0),
+)
+def test_archive_entries_are_on_grid_and_scored_by_the_model(
+        seed, max_ant, max_iteration, max_run, workload):
+    # lighter workloads leave several decisions feasible at once
+    runtime = toy_runtime(workload)
+    model = runtime.model
+    stats = OptimizeStats()
+    cfg = moaco_cfg(max_ant=max_ant, max_iteration=max_iteration, max_run=max_run)
+    archive = optimize(
+        model, runtime.env, runtime.current, runtime.grids,
+        cfg, np.random.default_rng(seed), stats=stats,
+    )
+    assert stats.constructions <= max_iteration * max_ant * max_run
+    assert len(archive) >= 1
+    for entry in archive:
+        row = model.decision_to_row(entry.decision)
+        for value, grid in zip(row, runtime.grids):
+            assert value in grid
+        vec = model.predict_matrix(row[None, :], runtime.env)[0]
+        # the cost column is a matrix product, whose last bit can depend on
+        # how many rows share the batch
+        assert entry.objectives == pytest.approx(tuple(vec), rel=1e-12, abs=0.0)
+        assert entry.violation_count == int(model.violation_counts(vec)[0])

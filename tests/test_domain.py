@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from antscale.domain import (
     ConfigError,
     ControlPrimitiveSpec,
     Decision,
+    is_replica,
+    replica_id,
+    root_id,
     scenario_from_dict,
     validate_decision,
     validate_scenario,
@@ -184,3 +189,19 @@ def test_missing_document_key_raises_config_error():
     del doc["primitives"][0]["step"]
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+
+# -- replica naming --------------------------------------------------------
+
+
+@given(
+    base=st.text(alphabet=st.characters(exclude_characters="~"), min_size=1),
+    n=st.integers(1, 10**6),
+)
+def test_replica_ids_round_trip_to_their_root(base, n):
+    replica = replica_id(base, n)
+    assert root_id(replica) == base
+    assert root_id(replica_id(replica, n + 1)) == base
+    assert is_replica(replica)
+    assert not is_replica(base)
+    assert root_id(base) == base

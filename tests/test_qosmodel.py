@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antscale.domain import ConfigError, Decision, scenario_from_dict
-from antscale.qosmodel import DemandModel, ModelParams, RegionModel
+from antscale.qosmodel import DemandModel, ModelParams, RegionModel, utilization
 from antscale.simulator import EnvironmentState, Simulator
 from conftest import smoke_doc, triple_doc
 
@@ -28,14 +28,16 @@ def test_cost_is_priced_provision_sum(triple_scenario):
     model = build_model(triple_scenario)
     env = triple_env(triple_scenario)
     decision = Decision(triple_scenario.initial_configuration())
-    assert model.predict("s1.cost", decision, env) == pytest.approx(0.885, abs=1e-12)
+    j = model.objective_ids.index("s1.cost")
+    assert model.predict_vector(decision, env)[j] == pytest.approx(0.885, abs=1e-12)
 
 
 def test_cost_ignores_workload(triple_scenario):
     model = build_model(triple_scenario)
     decision = Decision(triple_scenario.initial_configuration())
-    low = model.predict("s3.cost", decision, triple_env(triple_scenario, 10.0))
-    high = model.predict("s3.cost", decision, triple_env(triple_scenario, 400.0))
+    j = model.objective_ids.index("s3.cost")
+    low = model.predict_vector(decision, triple_env(triple_scenario, 10.0))[j]
+    high = model.predict_vector(decision, triple_env(triple_scenario, 400.0))[j]
     assert low == high
 
 
@@ -192,8 +194,10 @@ def test_utilization_saturates_at_one(smoke_scenario):
     topo = smoke_scenario.topology
     wl = {"s1": 100.0, "s2": 50.0}
     spec = smoke_scenario.primitives["v1.cpu"]
-    assert demand.utilization_of(spec, 20.0, topo, wl) == pytest.approx(0.9)
-    assert demand.utilization_of(spec, 10.0, topo, wl) == 1.0
+    d = demand.demand(spec, topo, wl)
+    assert utilization(d, 20.0) == pytest.approx(0.9)
+    assert utilization(d, 10.0) == 1.0
+    assert utilization(d, 0.0) == 1.0
 
 
 def test_model_params_reject_unknown_keys():

@@ -1,9 +1,13 @@
 """Interval stepping, bound adaptation, triggers, and horizontal scaling."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antscale.domain import ControlPrimitiveSpec, Decision, scenario_from_dict
+from antscale.domain import ControlPrimitiveSpec, Decision, is_replica, scenario_from_dict
 from antscale.simulator import (
     TRIGGER_LOW_UTIL,
     TRIGGER_SLA,
@@ -241,3 +245,27 @@ def test_scale_in_reclaims_idle_replica():
     assert "v1~r1" not in {vm.id for vm in sim.topology.vms}
     assert sim.groups["s1"] == ["s1"]
     assert any("v1~r1" in e for e in result.events)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    busy=st.floats(20.0, 400.0),
+    quiet=st.floats(0.0, 3.0),
+)
+def test_clone_then_reclaim_restores_the_pre_scale_out_state(seed, busy, quiet):
+    scenario = scenario_from_dict(overloaded_doc())
+    trace = {s: [busy, busy, quiet, quiet] for s in ("s1", "s2")}
+    sim = Simulator(scenario, trace, seed=seed)
+    sim.step()                      # fires the capacity trigger
+    before = (set(sim.prim_specs), set(sim.config), sim.topology,
+              copy.deepcopy(sim.groups))
+    sim.step()                      # clone applied
+    replica_pids = [pid for pid in sim.prim_specs if is_replica(pid)]
+    assert replica_pids
+    # pin the replica to its floors; the quiet interval then retires it
+    floors = Decision({pid: sim.prim_specs[pid].lower_bound for pid in replica_pids})
+    sim.step(floors)                # queues the removal
+    sim.step()                      # removal applied
+    after = (set(sim.prim_specs), set(sim.config), sim.topology, sim.groups)
+    assert after == before
