@@ -15,6 +15,7 @@ import numpy as np
 
 from .colony import DecisionArchive
 from .domain import SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, root_id
+from .dominance import pareto, wins
 from .simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA
 
 
@@ -232,8 +233,8 @@ class MogaConfig:
 def nondominated_ranks(vectors: np.ndarray, signs) -> np.ndarray:
     """Front index per row (0 = non-dominated), by iterative peeling."""
     adjusted = np.atleast_2d(vectors) * np.asarray(signs)[None, :]
-    a, b = adjusted[:, None, :], adjusted[None, :, :]
-    dominates = (a >= b).all(axis=2) & (a > b).any(axis=2)   # [i, j]: i dominates j
+    won = wins(adjusted, adjusted)
+    dominates = pareto(won, won.T)   # [i, j]: i dominates j
     dominators = dominates.sum(axis=0).astype(int)
     n = adjusted.shape[0]
     ranks = np.full(n, -1, dtype=int)

@@ -20,13 +20,20 @@ def _load_checked(path: str):
     return scenario
 
 
+def _thread_count(flag: str | None) -> int:
+    source, raw = "--threads", flag
+    if raw is None:
+        source, raw = "AUTOSCALE_THREADS", os.environ.get("AUTOSCALE_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{source} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def cmd_run(args) -> int:
+    threads = _thread_count(args.threads)
     scenario = _load_checked(args.scenario)
     trace = traces.load_trace_csv(args.trace) if args.trace else None
     approaches = tuple(a.strip() for a in args.approaches.split(",") if a.strip())
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("AUTOSCALE_THREADS", "1"))
     plan = ExperimentPlan(
         name=args.name or scenario.name,
         scenario=scenario,
@@ -97,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-decision wall clock budget in seconds")
     run.add_argument("--out", default="results")
     run.add_argument("--name", help="plan name; defaults to the scenario name")
-    run.add_argument("--threads", type=int, default=None,
+    run.add_argument("--threads", default=None,
                      help="worker processes for repetitions; default $AUTOSCALE_THREADS or 1")
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=cmd_run)

@@ -6,14 +6,21 @@ dominated under a switching-count relation that still discriminates when
 Pareto comparisons all tie, then closest to the per-objective best corner of
 the surviving set, and finally a seeded uniform draw among exact ties.
 
-Deliberately numpy-free: candidate sets are small and plain-float arithmetic
-keeps results bit-identical to straightforward reference implementations.
+Both dominance relations are predicates on one numpy kernel, ``wins``, which
+counts per pair of sign-adjusted rows the objectives one row beats the other
+on. Flipping a sign is exact, so each count is the sign test a pairwise loop
+makes (NaN and equal values tie) and the ranks match such a loop exactly. The
+distance stage stays a plain-float loop: its sequential sum decides exact ties.
 """
 
 import math
 from dataclasses import dataclass
 
-from .domain import MAXIMIZE, MINIMIZE
+import numpy as np
+
+# rows ranked per kernel pass: each count matrix is at most ROW_BLOCK x n, so
+# the memory a ranking holds grows linearly with the archive, not squared
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -25,66 +32,48 @@ class ScoredDecision:
     violation_count: int
 
 
-def _signs(directions):
-    out = []
-    for d in directions:
-        if d == MINIMIZE:
-            out.append(-1.0)
-        elif d == MAXIMIZE:
-            out.append(1.0)
-        else:
-            raise ValueError(f"unknown direction {d!r}")
-    return out
+def wins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j]: the number of objectives on which ``a[i]`` beats ``b[j]``.
 
-
-def pareto_dominates(a, b, directions) -> bool:
-    """True when ``a`` is at least as good everywhere and better somewhere.
-
-    Equal values are never "better", so identical vectors do not dominate
-    each other in either order.
+    Both arrays are sign-adjusted rows, so larger is better everywhere.
     """
-    signs = _signs(directions)
-    strictly_better = False
-    for va, vb, s in zip(a, b, signs):
-        gap = (va - vb) * s
-        if gap < 0:
-            return False
-        if gap > 0:
-            strictly_better = True
-    return strictly_better
+    counts = np.zeros((a.shape[0], b.shape[0]), dtype=np.min_scalar_type(a.shape[1]))
+    for k in range(a.shape[1]):
+        counts += a[:, k, None] > b[None, :, k]
+    return counts
 
 
-def nash_dominates(a, b, directions) -> bool:
-    """True when switching a -> b improves fewer objectives than b -> a.
+def pareto(won: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """Better somewhere and worse nowhere; equal rows dominate neither way."""
+    return (won > 0) & (lost == 0)
+
+
+def nash(won: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """Switching away loses more objectives than it gains.
 
     Irreflexive and antisymmetric but not transitive, so it is only used for
     ranking, never for building a consistent order.
     """
-    signs = _signs(directions)
-    gain_by_switching_to_b = 0
-    gain_by_switching_to_a = 0
-    for va, vb, s in zip(a, b, signs):
-        gap = (vb - va) * s
-        if gap > 0:
-            gain_by_switching_to_b += 1
-        elif gap < 0:
-            gain_by_switching_to_a += 1
-    return gain_by_switching_to_b < gain_by_switching_to_a
+    return won > lost
 
 
-def dominance_rank(vectors, directions, relation) -> list:
-    """Rank each vector by how many of the others dominate it (0 = undominated)."""
-    n = len(vectors)
-    ranks = [0] * n
-    for i in range(n):
-        vi = vectors[i]
-        for j in range(n):
-            if i != j and relation(vectors[j], vi, directions):
-                ranks[i] += 1
-    return ranks
+def dominance_rank(vectors, signs, relation) -> list:
+    """Rank each vector by how many of the others dominate it (0 = undominated).
+
+    ``relation`` is ``pareto`` or ``nash``; ``signs`` holds +1 per objective
+    where larger is better and -1 where smaller is.
+    """
+    rows = np.array(vectors, dtype=float) * signs
+    ranks = np.empty(len(rows), dtype=int)
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        # [j, i]: row j dominates block row i; no row dominates itself
+        dominated = relation(wins(rows, block), wins(block, rows).T)
+        ranks[start:start + ROW_BLOCK] = dominated.sum(axis=0)
+    return ranks.tolist()
 
 
-def distance_select(candidates, directions) -> list:
+def distance_select(candidates, signs) -> list:
     """Indices of the candidates closest to the surviving set's best corner.
 
     The reference point takes the best value per objective over the set,
@@ -94,7 +83,6 @@ def distance_select(candidates, directions) -> list:
     """
     if not candidates:
         raise ValueError("empty candidate set")
-    signs = _signs(directions)
     m = len(signs)
     best, worst = [], []
     for o in range(m):
@@ -118,12 +106,12 @@ def distance_select(candidates, directions) -> list:
     return [i for i, d in enumerate(distances) if d == lowest]
 
 
-def compromise_survivors(scored, directions) -> list:
+def compromise_survivors(scored, signs) -> list:
     """Run the deterministic narrowing stages and return surviving entries.
 
     Args:
         scored: sequence of ScoredDecision.
-        directions: optimization direction per objective position.
+        signs: +1 per objective where larger is better, -1 where smaller is.
 
     Returns:
         The subset (input order preserved) left after violation filtering,
@@ -134,19 +122,18 @@ def compromise_survivors(scored, directions) -> list:
     fewest = min(s.violation_count for s in scored)
     pool = [s for s in scored if s.violation_count == fewest]
 
-    for relation in (pareto_dominates, nash_dominates):
-        vectors = [s.objectives for s in pool]
-        ranks = dominance_rank(vectors, directions, relation)
+    for relation in (pareto, nash):
+        ranks = dominance_rank([s.objectives for s in pool], signs, relation)
         lowest = min(ranks)
         pool = [s for s, r in zip(pool, ranks) if r == lowest]
 
-    keep = distance_select([s.objectives for s in pool], directions)
+    keep = distance_select([s.objectives for s in pool], signs)
     return [pool[i] for i in keep]
 
 
-def select_compromise(scored, directions, rng) -> ScoredDecision:
+def select_compromise(scored, signs, rng) -> ScoredDecision:
     """Full selection: narrowing stages plus a seeded uniform tie-break."""
-    survivors = compromise_survivors(scored, directions)
+    survivors = compromise_survivors(scored, signs)
     if len(survivors) == 1:
         return survivors[0]
     return survivors[int(rng.integers(len(survivors)))]

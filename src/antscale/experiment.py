@@ -103,8 +103,7 @@ def decide(approach: str, runtime, trigger, observed: dict, scenario: Scenario,
         archive = colony.optimize(
             runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng
         )
-        directions = [o.direction for o in runtime.model.objectives]
-        return select_compromise(archive.entries(), directions, rng).decision
+        return select_compromise(archive.entries(), runtime.model.direction_signs, rng).decision
     if approach == "moga":
         cfg = baselines.MogaConfig.from_dict(params.get("moga", {}))
         cfg.time_budget_s = time_budget_s

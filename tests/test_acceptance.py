@@ -29,8 +29,8 @@ from antscale.dominance import (
     ScoredDecision,
     compromise_survivors,
     dominance_rank,
-    nash_dominates,
-    pareto_dominates,
+    nash,
+    pareto,
     select_compromise,
 )
 from antscale.experiment import APPROACHES, ExperimentPlan, run_experiment
@@ -128,11 +128,11 @@ def test_criterion_01_rank_matches_bruteforce(capsys):
     vectors = [tuple(float(v) for v in rng.integers(0, 5, size=5))
                for _ in range(200)]
     pareto_ok = (
-        dominance_rank(vectors, directions, pareto_dominates)
+        dominance_rank(vectors, signs, pareto)
         == oracle_ranks(vectors, signs, oracle_pareto)
     )
     nash_ok = (
-        dominance_rank(vectors, directions, nash_dominates)
+        dominance_rank(vectors, signs, nash)
         == oracle_ranks(vectors, signs, oracle_nash)
     )
     elapsed = time.perf_counter() - started
@@ -162,7 +162,7 @@ def test_criterion_02_survivors_match_bruteforce(capsys):
             ScoredDecision(i, tuple(vectors[i]), int(violations[i]))
             for i in range(n)
         ]
-        mine = compromise_survivors(scored, directions)
+        mine = compromise_survivors(scored, _oracle_signs(directions))
         theirs = oracle_survivors(scored, directions)
         if [s.decision for s in mine] != [s.decision for s in theirs]:
             mismatches += 1
@@ -266,6 +266,7 @@ def comparative(tmp_path_factory):
     return result["summary"], time.perf_counter() - started
 
 
+@pytest.mark.slow
 def test_criterion_05_comparative_quality(comparative, capsys):
     rows, wall = comparative
     g = {a: v for a, metric, _, v in rows if metric == "g_distance"}
@@ -286,6 +287,7 @@ def test_criterion_05_comparative_quality(comparative, capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_violation_balance(comparative, capsys):
     rows, _ = comparative
     spread = {a: v for a, metric, _, v in rows if metric == "violation_service_std"}
@@ -309,7 +311,7 @@ def test_criterion_07_lopsided_pair_selects_majority_winner(capsys):
         not oracle_pareto(b.objectives, a.objectives, signs)
     )
     always_a = all(
-        select_compromise(order, directions, np.random.default_rng(seed)).decision == "A"
+        select_compromise(order, signs, np.random.default_rng(seed)).decision == "A"
         for seed in range(20)
         for order in ([a, b], [b, a])
     )

@@ -271,6 +271,27 @@ def test_cli_run_end_to_end_with_supplied_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, flag", [
+    ("two", None), ("0", None), ("-3", None), ("1", "two"), ("1", "0"), (None, "1.5"),
+])
+def test_cli_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys, env, flag):
+    if env is None:
+        monkeypatch.delenv("AUTOSCALE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AUTOSCALE_THREADS", env)
+    argv = [
+        "run", "--scenario", str(SMOKE_PATH), "--approaches", "rule",
+        "--intervals", "4", "--runs", "1", "--out", str(tmp_path), "--quiet",
+    ]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("--threads" if flag is not None else "AUTOSCALE_THREADS") in err
+    assert not (tmp_path / "smoke").exists()
+
+
 def test_cli_thread_count_reads_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AUTOSCALE_THREADS", "2")
     code = cli.main([
