@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colony import DecisionArchive
+from .colony import grid_table
 from .domain import SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, root_id
-from .dominance import pareto, wins
+from .dominance import DecisionArchive, pareto, wins
 from .simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA
 
 
@@ -291,9 +291,9 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
     offspring.
     """
     model = runtime.model
-    grids = runtime.grids
-    n_prims = len(grids)
-    sizes = np.array([len(g) for g in grids])
+    values, valid = grid_table(runtime.grids)
+    n_prims, sizes = valid.shape[0], valid.sum(axis=1)
+    prims = np.arange(n_prims)
     pop_n = max(int(cfg.population), 2)
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n_prims
     deadline = (
@@ -301,16 +301,10 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
         else time.perf_counter() + cfg.time_budget_s
     )
 
-    def to_rows(genomes: np.ndarray) -> np.ndarray:
-        rows = np.empty(genomes.shape, dtype=float)
-        for a, grid in enumerate(grids):
-            rows[:, a] = grid[genomes[:, a]]
-        return rows
-
     genomes = np.empty((pop_n, n_prims), dtype=int)
     for a in range(n_prims):
         genomes[:, a] = rng.integers(sizes[a], size=pop_n)
-    vectors = model.predict_matrix(to_rows(genomes), runtime.env)
+    vectors = model.predict_matrix(values[prims, genomes], runtime.env)
 
     for _ in range(max(int(cfg.generations), 0)):
         if deadline is not None and time.perf_counter() > deadline:
@@ -333,7 +327,7 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
         mutated = np.clip(children + steps, 0, (sizes - 1)[None, :])
         children = np.where(mutate, mutated, children)
 
-        child_vectors = model.predict_matrix(to_rows(children), runtime.env)
+        child_vectors = model.predict_matrix(values[prims, children], runtime.env)
         combined = np.vstack([genomes, children])
         combined_vecs = np.vstack([vectors, child_vectors])
         ranks = nondominated_ranks(combined_vecs, model.direction_signs)
@@ -342,11 +336,8 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
         genomes = combined[order]
         vectors = combined_vecs[order]
 
-    ranks = nondominated_ranks(vectors, model.direction_signs)
-    archive = DecisionArchive(model.region_pids)
-    front = np.flatnonzero(ranks == 0)
-    rows = to_rows(genomes[front])
-    viols = model.violation_counts(vectors[front])
-    for i in range(front.size):
-        archive.add(rows[i], vectors[front[i]], int(viols[i]))
-    return archive
+    front = nondominated_ranks(vectors, model.direction_signs) == 0
+    return DecisionArchive(
+        model.region_pids, values[prims, genomes[front]], vectors[front],
+        model.violation_counts(vectors[front]),
+    )

@@ -8,6 +8,11 @@ max-min scheme: only the iteration's best decision per objective deposits,
 and all trails are clamped into adaptive bounds so no value's selection
 probability collapses to zero.
 
+The grids are held as one zero-padded ``(n_prims, G_max)`` value table with a
+``valid`` mask; trails are one ``(m, n_prims, G_max)`` tensor and the
+heuristic one ``(n_prims, G_max)`` table over the same slots. Ants draw grid
+indices, and the mask gives every padded slot zero selection weight.
+
 Construction is batched across the ants of an iteration; an ant retries until
 it finds a decision predicted to satisfy every requirement or its retry
 budget runs out, in which case its best attempt for its own objective stands.
@@ -18,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ConfigError, Decision
-from .dominance import ScoredDecision
+from .domain import ConfigError
+from .dominance import DecisionArchive
 
 EPS = 1e-9
 
@@ -46,34 +51,17 @@ class MoacoConfig:
         return cls(**doc)
 
 
-class PheromoneField:
-    """Per-objective trails over each primitive's grid plus clamp bounds.
-
-    Trails start at 1.0 with bounds [floor_ratio, 1.0]; bounds move each
-    iteration from the iteration-best objective value.
-    """
-
-    def __init__(self, n_objectives: int, grid_sizes, initial: float = 1.0,
-                 floor_ratio: float = 0.5):
-        self.trails = [np.full((n_objectives, g), float(initial)) for g in grid_sizes]
-        self.tau_max = np.full(n_objectives, float(initial))
-        self.tau_min = np.full(n_objectives, floor_ratio * float(initial))
-        self.floor_ratio = floor_ratio
-
-    def clamp(self, objective: int) -> None:
-        lo, hi = self.tau_min[objective], self.tau_max[objective]
-        for t in self.trails:
-            np.clip(t[objective], lo, hi, out=t[objective])
+def grid_table(grids):
+    """The grids as one zero-padded ``(n_prims, G_max)`` table and its valid mask."""
+    sizes = np.array([len(g) for g in grids])
+    valid = np.arange(sizes.max())[None, :] < sizes[:, None]
+    values = np.zeros(valid.shape)
+    values[valid] = np.concatenate(grids)
+    return values, valid
 
 
-@dataclass
-class HeuristicField:
-    """Aggregated desirability per (primitive, grid value); strictly positive."""
-
-    values: list = field(default_factory=list)
-
-
-def compute_heuristics(model, env, current_row: np.ndarray, grids) -> HeuristicField:
+def compute_heuristics(model, env, current_row: np.ndarray, values: np.ndarray,
+                       valid: np.ndarray) -> np.ndarray:
     """Score every single-value change against the live configuration.
 
     For each candidate value the relative improvements and degradations it
@@ -82,15 +70,13 @@ def compute_heuristics(model, env, current_row: np.ndarray, grids) -> HeuristicF
     nothing fall back to the smallest non-zero heuristic found, similarly
     damped, so every value keeps a strictly positive selection weight. A
     neutral landscape (no improvement anywhere) falls back to 1.0, which
-    makes the selection uniform up to pheromone differences.
+    makes the selection uniform up to pheromone differences. Returns a table
+    shaped like ``values`` that is 0 on padded slots.
     """
-    rows = []
-    for a, grid in enumerate(grids):
-        for x in grid:
-            row = current_row.copy()
-            row[a] = x
-            rows.append(row)
-    preds = model.predict_matrix(np.array(rows), env)
+    prims, slots = np.nonzero(valid)
+    rows = np.repeat(current_row[None, :], prims.size, axis=0)
+    rows[np.arange(prims.size), prims] = values[prims, slots]
+    preds = model.predict_matrix(rows, env)
     cur = model.predict_matrix(current_row[None, :], env)[0]
     signs = model.direction_signs
 
@@ -102,90 +88,59 @@ def compute_heuristics(model, env, current_row: np.ndarray, grids) -> HeuristicF
     raw = np.where(improvement > 0, improvement / (1.0 + degradation), 0.0)
     positive = raw[raw > 0]
     eta_min = float(positive.min()) if positive.size else 1.0
-    eta = np.where(improvement > 0, raw, eta_min / (1.0 + degradation))
-
-    out, offset = [], 0
-    for grid in grids:
-        out.append(eta[offset:offset + len(grid)].copy())
-        offset += len(grid)
-    return HeuristicField(out)
+    heuristic = np.zeros(valid.shape)
+    heuristic[valid] = np.where(improvement > 0, raw, eta_min / (1.0 + degradation))
+    return heuristic
 
 
-def selection_cdfs(pheromone: PheromoneField, heuristic: HeuristicField,
-                   cfg: MoacoConfig) -> list:
-    """Per primitive, one cumulative selection distribution per objective.
+def selection_cdfs(trails: np.ndarray, heuristic: np.ndarray, valid: np.ndarray,
+                   cfg: MoacoConfig) -> np.ndarray:
+    """``[o, a]``: objective ``o``'s cumulative selection distribution over grid ``a``.
 
-    Row ``o`` of entry ``a`` is the cdf over primitive ``a``'s grid of the
-    weights trail^alpha * heuristic^beta under objective ``o``'s trails.
+    The weights are trail^alpha * heuristic^beta on valid slots and exactly 0
+    on padded ones (``0 ** 0`` is 1, so the mask, not the power, zeroes them).
+    Padding follows the valid slots, so each grid's cdf reaches 1 at its last
+    value and stays there.
     """
-    cdfs = []
-    for trails, eta in zip(pheromone.trails, heuristic.values):
-        w = trails ** cfg.alpha * (eta ** cfg.beta)[None, :]
-        cdf = np.cumsum(w, axis=1)
-        cdf /= cdf[:, -1:]
-        cdfs.append(cdf)
-    return cdfs
+    weights = np.where(valid, trails ** cfg.alpha * heuristic ** cfg.beta, 0.0)
+    cdf = np.cumsum(weights, axis=2)
+    cdf /= cdf[:, :, -1:]
+    return cdf
 
 
-def deposit(pheromone: PheromoneField, objective: int, best_indices, h_best: float,
+def deposit(trails: np.ndarray, objective: int, best_indices, h_best: float,
             h_global: float, maximize: bool, rho: float) -> float:
     """Evaporate one objective's trails and reward the iteration-best decision.
 
-    The deposit shrinks with the gap between the iteration best and the
-    global best objective value and is 1.0 when they coincide; values not in
-    the best decision only evaporate. Returns the deposited amount.
+    ``best_indices`` holds the rewarded grid index per primitive. The deposit
+    shrinks with the gap between the iteration best and the global best
+    objective value and is 1.0 when they coincide; values not in the best
+    decision only evaporate. Returns the deposited amount.
     """
-    for trails in pheromone.trails:
-        trails[objective] *= 1.0 - rho
+    trails[objective] *= 1.0 - rho
     if maximize:
         denom = 1.0 + 1.0 / max(h_best, EPS) - 1.0 / max(h_global, EPS)
     else:
         denom = 1.0 + h_best - h_global
     amount = 1.0 / denom if denom > 0 else 1.0
     amount = float(min(max(amount, 0.0), 1.0))
-    for primitive, idx in enumerate(best_indices):
-        pheromone.trails[primitive][objective, idx] += amount
+    trails[objective, np.arange(trails.shape[1]), best_indices] += amount
     return amount
 
 
-def update_bounds(pheromone: PheromoneField, objective: int, h_best: float,
-                  maximize: bool, rho: float, floor_ratio: float | None = None) -> None:
-    """Refresh the trail ceiling and floor from the iteration-best value."""
-    if floor_ratio is None:
-        floor_ratio = pheromone.floor_ratio
+def trail_bounds(h_best: float, maximize: bool, rho: float,
+                 floor_ratio: float) -> tuple:
+    """(floor, ceiling) of one objective's trails from its iteration-best value."""
     if maximize:
         tau_max = 1.0 / ((1.0 / max(h_best, EPS)) * (1.0 - rho))
     else:
         tau_max = 1.0 / (max(h_best, EPS) * (1.0 - rho))
-    pheromone.tau_max[objective] = tau_max
-    pheromone.tau_min[objective] = floor_ratio * tau_max
+    return floor_ratio * tau_max, tau_max
 
 
-class DecisionArchive:
-    """Insertion-ordered, assignment-deduplicated set of scored decisions."""
-
-    def __init__(self, primitive_ids):
-        self.primitive_ids = list(primitive_ids)
-        self._entries = {}
-
-    def add(self, row, objectives, violation_count: int) -> bool:
-        key = tuple(int(v) for v in row)
-        if key in self._entries:
-            return False
-        decision = Decision(dict(zip(self.primitive_ids, key)))
-        self._entries[key] = ScoredDecision(
-            decision, tuple(float(v) for v in objectives), int(violation_count)
-        )
-        return True
-
-    def entries(self) -> list:
-        return list(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries.values())
+def clamp(trails: np.ndarray, tau_min: np.ndarray, tau_max: np.ndarray) -> None:
+    """Clip each objective's trails into its [tau_min, tau_max], in place."""
+    np.clip(trails, tau_min[:, None, None], tau_max[:, None, None], out=trails)
 
 
 @dataclass
@@ -197,8 +152,11 @@ class OptimizeStats:
     update_seconds: float = 0.0
     iterations: int = 0
     constructions: int = 0
-    pheromone: PheromoneField | None = None
-    heuristic: HeuristicField | None = None
+    trails: np.ndarray | None = None       # (m, n_prims, G_max)
+    tau_min: np.ndarray | None = None      # per-objective trail floor
+    tau_max: np.ndarray | None = None      # per-objective trail ceiling
+    heuristic: np.ndarray | None = None    # (n_prims, G_max)
+    valid: np.ndarray | None = None        # (n_prims, G_max) real grid slots
     global_history: list = field(default_factory=list)   # per-iteration global bests
 
 
@@ -215,20 +173,24 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     """
     start = time.perf_counter()
     m = len(model.objective_ids)
-    n_prims = len(grids)
     if cfg.max_ant < 1 or cfg.max_iteration < 1 or cfg.max_run < 1:
         raise ConfigError("moaco: max_ant, max_iteration and max_run must be positive")
     signs = model.direction_signs
-    grids = [np.asarray(g, dtype=float) for g in grids]
+    values, valid = grid_table(grids)
+    n_prims = values.shape[0]
+    prims = np.arange(n_prims)
     current_row = np.asarray(current_row, dtype=float)
-    ant_obj = np.arange(cfg.max_ant) % m
+    n_ant = cfg.max_ant
+    ant_obj = np.arange(n_ant) % m
     deadline = None if cfg.time_budget_s is None else start + cfg.time_budget_s
 
-    heur = compute_heuristics(model, env, current_row, grids)
+    heuristic = compute_heuristics(model, env, current_row, values, valid)
     t_heur = time.perf_counter() - start
 
-    pher = PheromoneField(m, [len(g) for g in grids], 1.0, cfg.floor_ratio)
-    archive = DecisionArchive(model.region_pids)
+    trails = np.ones((m,) + valid.shape)
+    tau_max = np.ones(m)
+    tau_min = np.full(m, cfg.floor_ratio)
+    found = []    # per iteration: settled ants' (indices, objectives, violations)
     global_h = np.full(m, np.nan)
     have_global = np.zeros(m, dtype=bool)
 
@@ -242,83 +204,59 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         if out_of_time:
             break
         t0 = time.perf_counter()
-        cdfs = selection_cdfs(pher, heur, cfg)
+        cdf = selection_cdfs(trails, heuristic, valid, cfg)
 
-        n_ant = cfg.max_ant
-        frozen_rows = np.zeros((n_ant, n_prims))
-        frozen_vecs = np.zeros((n_ant, m))
-        frozen_viol = np.zeros(n_ant, dtype=int)
+        # each ant keeps its first satisfying draw, else its best for its objective
+        kept_idx = np.zeros((n_ant, n_prims), dtype=int)
+        kept_vecs = np.zeros((n_ant, m))
+        kept_viol = np.zeros(n_ant, dtype=int)
+        kept_h = np.full(n_ant, -np.inf)
+        kept = np.zeros(n_ant, dtype=bool)
         done = np.zeros(n_ant, dtype=bool)
-        best_rows = np.zeros((n_ant, n_prims))
-        best_vecs = np.zeros((n_ant, m))
-        best_viol = np.zeros(n_ant, dtype=int)
-        best_h = np.full(n_ant, -np.inf)
-        has_best = np.zeros(n_ant, dtype=bool)
 
         for _round in range(cfg.max_run):
             open_ants = np.flatnonzero(~done)
             if open_ants.size == 0:
                 break
             u = rng.random((open_ants.size, n_prims))
-            rows = np.empty((open_ants.size, n_prims))
             objs = ant_obj[open_ants]
-            for a in range(n_prims):
-                row_cdfs = cdfs[a][objs]
-                pick = (row_cdfs >= u[:, a:a + 1]).argmax(axis=1)
-                rows[:, a] = grids[a][pick]
-            vecs = model.predict_matrix(rows, env)
+            idx = (cdf[objs] >= u[:, :, None]).argmax(axis=2)
+            vecs = model.predict_matrix(values[prims, idx], env)
             viols = model.violation_counts(vecs)
             constructions += open_ants.size
             h = vecs[np.arange(open_ants.size), objs] * signs[objs]
             # each open ant appears once per round, so masked writes match
             # settling the ants one by one
             ok = viols == 0
-            satisfied = open_ants[ok]
-            done[satisfied] = True
-            frozen_rows[satisfied] = rows[ok]
-            frozen_vecs[satisfied] = vecs[ok]
-            better = ~ok & (~has_best[open_ants] | (h > best_h[open_ants]))
+            better = ok | ~kept[open_ants] | (h > kept_h[open_ants])
             improved = open_ants[better]
-            best_rows[improved] = rows[better]
-            best_vecs[improved] = vecs[better]
-            best_viol[improved] = viols[better]
-            best_h[improved] = h[better]
-            has_best[improved] = True
+            kept_idx[improved] = idx[better]
+            kept_vecs[improved] = vecs[better]
+            kept_viol[improved] = viols[better]
+            kept_h[improved] = h[better]
+            kept[improved] = True
+            done[open_ants[ok]] = True
             if deadline is not None and time.perf_counter() > deadline:
                 out_of_time = True
                 break
-
-        fallback = ~done & has_best
-        frozen_rows[fallback] = best_rows[fallback]
-        frozen_vecs[fallback] = best_vecs[fallback]
-        frozen_viol[fallback] = best_viol[fallback]
-        settled = done | fallback
         t_construct += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for ant in range(n_ant):
-            if settled[ant]:
-                archive.add(frozen_rows[ant], frozen_vecs[ant], frozen_viol[ant])
-
-        signed_h = frozen_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj]
-        signed_h[~settled] = -np.inf
+        found.append((kept_idx[kept], kept_vecs[kept], kept_viol[kept]))
+        signed_h = np.where(kept, kept_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj], -np.inf)
         for o in range(m):
-            members = np.flatnonzero((ant_obj == o) & settled)
+            members = np.flatnonzero((ant_obj == o) & kept)
             if members.size == 0:
                 continue
             leader = members[int(np.argmax(signed_h[members]))]
-            h_iter = float(frozen_vecs[leader, o])
+            h_iter = float(kept_vecs[leader, o])
             if not have_global[o] or signs[o] * (h_iter - global_h[o]) > 0:
                 global_h[o] = h_iter
                 have_global[o] = True
             maximize = signs[o] > 0
-            update_bounds(pher, o, h_iter, maximize, cfg.rho)
-            indices = [
-                int(np.searchsorted(grids[a], frozen_rows[leader, a]))
-                for a in range(n_prims)
-            ]
-            deposit(pher, o, indices, h_iter, float(global_h[o]), maximize, cfg.rho)
-            pher.clamp(o)
+            tau_min[o], tau_max[o] = trail_bounds(h_iter, maximize, cfg.rho, cfg.floor_ratio)
+            deposit(trails, o, kept_idx[leader], h_iter, float(global_h[o]), maximize, cfg.rho)
+        clamp(trails, tau_min, tau_max)
         t_update += time.perf_counter() - t0
         iterations += 1
         if stats is not None:
@@ -326,12 +264,17 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         if deadline is not None and time.perf_counter() > deadline:
             break
 
+    indices, vectors, violations = (np.concatenate(part) for part in zip(*found))
+    archive = DecisionArchive(model.region_pids, values[prims, indices], vectors, violations)
     if stats is not None:
         stats.heuristic_seconds = t_heur
         stats.construction_seconds = t_construct
         stats.update_seconds = t_update
         stats.iterations = iterations
         stats.constructions = constructions
-        stats.pheromone = pher
-        stats.heuristic = heur
+        stats.trails = trails
+        stats.tau_min = tau_min
+        stats.tau_max = tau_max
+        stats.heuristic = heuristic
+        stats.valid = valid
     return archive

@@ -53,6 +53,11 @@ def replica_id(base: str, n: int) -> str:
     return f"{base}{REPLICA_MARK}{n}"
 
 
+def primitive_id(owner: str, resource: str) -> str:
+    """Id of the ``resource`` primitive a cloned VM or service owns."""
+    return f"{owner}.{resource}"
+
+
 def root_id(instance_id: str) -> str:
     """The scenario-declared VM or service a (possibly replica) id derives from."""
     return instance_id.split(REPLICA_MARK)[0]
@@ -118,13 +123,6 @@ class Decision:
 
     assignments: dict = field(default_factory=dict)
 
-    def key(self) -> tuple:
-        """Canonical identity used for deduplication."""
-        return tuple(sorted(self.assignments.items()))
-
-    def value(self, primitive_id: str) -> int:
-        return self.assignments[primitive_id]
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -136,12 +134,6 @@ class ObjectiveSpec:
     owner: str
     threshold: float      # SLA level or budget, in the objective's unit
     model: str
-
-    def is_better(self, a: float, b: float) -> bool:
-        """True when value ``a`` is strictly better than ``b``. Equal is not better."""
-        if self.direction == MINIMIZE:
-            return a < b
-        return a > b
 
     def violated(self, value: float) -> bool:
         """Direction-aware requirement check; meeting the threshold exactly passes."""
@@ -428,18 +420,3 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     )
     return problems
 
-
-def validate_decision(scenario: Scenario, region: Region, decision: Decision) -> list[str]:
-    """Grid membership and coverage check for one candidate decision."""
-    problems = []
-    expected = set(region.primitive_ids)
-    got = set(decision.assignments)
-    for pid in sorted(expected - got):
-        problems.append(f"decision: missing assignment for {pid!r}")
-    for pid in sorted(got - expected):
-        problems.append(f"decision: {pid!r} is not part of region {region.id!r}")
-    for pid in sorted(expected & got):
-        value = decision.assignments[pid]
-        if not scenario.primitives[pid].on_grid(value):
-            problems.append(f"decision[{pid}]: value {value} is off the grid")
-    return problems

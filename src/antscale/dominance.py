@@ -11,12 +11,18 @@ counts per pair of sign-adjusted rows the objectives one row beats the other
 on. Flipping a sign is exact, so each count is the sign test a pairwise loop
 makes (NaN and equal values tie) and the ranks match such a loop exactly. The
 distance stage stays a plain-float loop: its sequential sum decides exact ties.
+
+The candidates arrive as a :class:`DecisionArchive` of arrays; the stages
+work on its objective matrix and violation vector, and only the chosen row
+becomes a :class:`ScoredDecision`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .domain import Decision
 
 # rows ranked per kernel pass: each count matrix is at most ROW_BLOCK x n, so
 # the memory a ranking holds grows linearly with the archive, not squared
@@ -30,6 +36,46 @@ class ScoredDecision:
     decision: object
     objectives: tuple
     violation_count: int
+
+
+class DecisionArchive:
+    """Scored decisions as arrays, one row per distinct assignment.
+
+    ``rows`` holds each decision's grid values in ``primitive_ids`` order,
+    ``objectives`` its predicted objective vector and ``violations`` its
+    requirement violation count. A repeated assignment keeps its first
+    occurrence, and rows keep their insertion order.
+    """
+
+    def __init__(self, primitive_ids, rows, objectives, violations):
+        rows = np.asarray(rows).astype(np.int64)
+        _, first = np.unique(rows, axis=0, return_index=True)
+        keep = np.sort(first)
+        self.primitive_ids = list(primitive_ids)
+        self.rows = rows[keep]
+        self.objectives = np.asarray(objectives, dtype=float)[keep]
+        self.violations = np.asarray(violations, dtype=int)[keep]
+
+    def entry(self, i: int) -> ScoredDecision:
+        """Row ``i`` as a scored decision."""
+        return ScoredDecision(
+            Decision(dict(zip(self.primitive_ids, self.rows[i].tolist()))),
+            tuple(self.objectives[i].tolist()),
+            int(self.violations[i]),
+        )
+
+    def entries(self) -> list:
+        return [self.entry(i) for i in range(len(self))]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self.entry, range(len(self)))
+
+    def __add__(self, other) -> list:
+        """The entries followed by ``other``'s, as a plain list."""
+        return self.entries() + list(other)
 
 
 def wins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,34 +152,35 @@ def distance_select(candidates, signs) -> list:
     return [i for i, d in enumerate(distances) if d == lowest]
 
 
-def compromise_survivors(scored, signs) -> list:
-    """Run the deterministic narrowing stages and return surviving entries.
+def compromise_survivors(objectives, violations, signs) -> list:
+    """Run the deterministic narrowing stages and return the surviving rows.
 
     Args:
-        scored: sequence of ScoredDecision.
+        objectives: one predicted objective vector per candidate.
+        violations: one requirement violation count per candidate.
         signs: +1 per objective where larger is better, -1 where smaller is.
 
     Returns:
-        The subset (input order preserved) left after violation filtering,
-        both dominance rankings and the distance stage.
+        Indices of the candidates (ascending) left after violation
+        filtering, both dominance rankings and the distance stage.
     """
-    if not scored:
+    objectives = np.asarray(objectives, dtype=float)
+    violations = np.asarray(violations)
+    if violations.size == 0:
         raise ValueError("nothing to select from")
-    fewest = min(s.violation_count for s in scored)
-    pool = [s for s in scored if s.violation_count == fewest]
+    pool = np.flatnonzero(violations == violations.min())
 
     for relation in (pareto, nash):
-        ranks = dominance_rank([s.objectives for s in pool], signs, relation)
-        lowest = min(ranks)
-        pool = [s for s, r in zip(pool, ranks) if r == lowest]
+        ranks = np.asarray(dominance_rank(objectives[pool], signs, relation))
+        pool = pool[ranks == ranks.min()]
 
-    keep = distance_select([s.objectives for s in pool], signs)
-    return [pool[i] for i in keep]
+    keep = distance_select(objectives[pool].tolist(), signs)
+    return pool[keep].tolist()
 
 
-def select_compromise(scored, signs, rng) -> ScoredDecision:
+def select_compromise(archive: DecisionArchive, signs, rng) -> ScoredDecision:
     """Full selection: narrowing stages plus a seeded uniform tie-break."""
-    survivors = compromise_survivors(scored, signs)
+    survivors = compromise_survivors(archive.objectives, archive.violations, signs)
     if len(survivors) == 1:
-        return survivors[0]
-    return survivors[int(rng.integers(len(survivors)))]
+        return archive.entry(survivors[0])
+    return archive.entry(survivors[int(rng.integers(len(survivors)))])

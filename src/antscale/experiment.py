@@ -103,15 +103,13 @@ def decide(approach: str, runtime, trigger, observed: dict, scenario: Scenario,
         archive = colony.optimize(
             runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng
         )
-        return select_compromise(archive.entries(), runtime.model.direction_signs, rng).decision
+        return select_compromise(archive, runtime.model.direction_signs, rng).decision
     if approach == "moga":
         cfg = baselines.MogaConfig.from_dict(params.get("moga", {}))
         cfg.time_budget_s = time_budget_s
         archive = baselines.moga_optimize(runtime, cfg, rng)
-        entries = archive.entries()
-        vectors = np.array([e.objectives for e in entries])
-        best = baselines.weighted_best(vectors, runtime.model.direction_signs)
-        return entries[best].decision
+        best = baselines.weighted_best(archive.objectives, runtime.model.direction_signs)
+        return archive.entry(best).decision
     if approach == "hill":
         return baselines.hill_climb(
             runtime, _search_budget(scenario), rng, time_budget_s=time_budget_s

@@ -24,6 +24,7 @@ from .domain import (
     Topology,
     VirtualMachine,
     is_replica,
+    primitive_id,
     replica_id,
     root_id,
 )
@@ -369,7 +370,9 @@ class Simulator:
         new_specs = {}
         for pid in self._vm_prims(source_id):
             template = self.scenario.primitives.get(pid, self.prim_specs[pid])
-            clone = dataclasses.replace(template, id=f"{new_vm.id}.{template.resource}", owner=new_vm.id)
+            clone = dataclasses.replace(
+                template, id=primitive_id(new_vm.id, template.resource), owner=new_vm.id
+            )
             new_specs[clone.id] = clone
         for svc in self.topology.services_on_vm(source_id):
             replica = ServiceInstance(id=replica_id(svc.id, n), vm=new_vm.id, managed=False)
@@ -377,7 +380,7 @@ class Simulator:
             for pid in self._service_prims(svc.id):
                 template = self.scenario.primitives.get(pid, self.prim_specs[pid])
                 clone = dataclasses.replace(
-                    template, id=f"{replica.id}.{template.resource}", owner=replica.id
+                    template, id=primitive_id(replica.id, template.resource), owner=replica.id
                 )
                 new_specs[clone.id] = clone
             self.groups[root_id(svc.id)].append(replica.id)

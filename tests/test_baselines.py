@@ -75,9 +75,9 @@ def test_rule_steps_serving_primitives_up_on_breach():
         runtime.region.primitive_ids, runtime.current, runtime.specs
     ):
         if pid == "s2.thread":
-            assert decision.value(pid) == int(value)
+            assert decision.assignments[pid] == int(value)
         else:
-            assert decision.value(pid) == min(int(value) + spec.step, spec.upper_bound)
+            assert decision.assignments[pid] == min(int(value) + spec.step, spec.upper_bound)
 
 
 def test_rule_steps_underused_primitives_down():
@@ -92,7 +92,7 @@ def test_rule_steps_underused_primitives_down():
     for pid, value, spec in zip(
         runtime.region.primitive_ids, runtime.current, runtime.specs
     ):
-        assert decision.value(pid) == max(int(value) - spec.step, spec.lower_bound)
+        assert decision.assignments[pid] == max(int(value) - spec.step, spec.lower_bound)
 
 
 def test_rule_respects_bounds_at_the_edges():
@@ -102,14 +102,14 @@ def test_rule_respects_bounds_at_the_edges():
     runtime = sim.region_runtime("r1", result.env)
     decision = rule_decide(runtime, TRIGGER_SLA, {"s1.rt": 99.0, "s2.rt": 99.0})
     for pid, spec in zip(runtime.region.primitive_ids, runtime.specs):
-        assert decision.value(pid) == spec.upper_bound
+        assert decision.assignments[pid] == spec.upper_bound
 
 
 def test_rule_keeps_live_values_without_trigger():
     _, runtime, _ = smoke_runtime()
     decision = rule_decide(runtime, None, {})
     for pid, value in zip(runtime.region.primitive_ids, runtime.current):
-        assert decision.value(pid) == int(value)
+        assert decision.assignments[pid] == int(value)
 
 
 # -- flat searches ---------------------------------------------------------
@@ -142,7 +142,7 @@ def test_random_search_is_seed_reproducible():
     runtime = toy_runtime()
     a = random_search(runtime, budget=300, rng=np.random.default_rng(6))
     b = random_search(runtime, budget=300, rng=np.random.default_rng(6))
-    assert a.key() == b.key()
+    assert a.assignments == b.assignments
 
 
 def test_hill_climb_with_unit_budget_returns_its_random_start():
@@ -168,7 +168,7 @@ def test_hill_climb_is_seed_reproducible():
     runtime = toy_runtime()
     a = hill_climb(runtime, budget=200, rng=np.random.default_rng(4))
     b = hill_climb(runtime, budget=200, rng=np.random.default_rng(4))
-    assert a.key() == b.key()
+    assert a.assignments == b.assignments
 
 
 def test_searches_emit_decisions_on_the_grids():
@@ -320,7 +320,7 @@ def test_moga_is_seed_reproducible():
 
     def run(seed):
         archive = moga_optimize(runtime, cfg, np.random.default_rng(seed))
-        return sorted(e.decision.key() for e in archive)
+        return [e.decision.assignments for e in archive]
 
     assert run(21) == run(21)
 

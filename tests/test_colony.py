@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antscale.colony import (
-    DecisionArchive,
-    HeuristicField,
     MoacoConfig,
     OptimizeStats,
-    PheromoneField,
+    clamp,
     compute_heuristics,
     deposit,
+    grid_table,
     optimize,
     selection_cdfs,
-    update_bounds,
+    trail_bounds,
 )
 from antscale.domain import ConfigError
+from antscale.dominance import DecisionArchive
 from conftest import toy_runtime
 
 
@@ -80,8 +80,8 @@ def table_model(table, directions, pids=("p0",), thresholds=None):
 def test_heuristic_is_improvement_over_damped_degradation():
     # candidate 1 improves obj0 by 2x and worsens obj1 by 1x: 2 / (1 + 1) = 1
     model = table_model({0: (1.0, 1.0), 1: (3.0, 2.0)}, ("max", "min"))
-    heur = compute_heuristics(model, None, np.array([0.0]), [np.array([0.0, 1.0])])
-    assert heur.values[0][1] == pytest.approx(1.0, rel=1e-12)
+    heur = compute_heuristics(model, None, np.array([0.0]), *grid_table([np.array([0.0, 1.0])]))
+    assert heur[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_non_improving_candidate_falls_back_to_damped_minimum():
@@ -91,11 +91,11 @@ def test_non_improving_candidate_falls_back_to_damped_minimum():
         {0: (1.0, 1.0), 1: (1.3, 1.5), 2: (1.0, 4.0)}, ("max", "min")
     )
     heur = compute_heuristics(
-        model, None, np.array([0.0]), [np.array([0.0, 1.0, 2.0])]
+        model, None, np.array([0.0]), *grid_table([np.array([0.0, 1.0, 2.0])])
     )
-    assert heur.values[0][0] == pytest.approx(0.2, rel=1e-9)    # current value
-    assert heur.values[0][1] == pytest.approx(0.2, rel=1e-9)
-    assert heur.values[0][2] == pytest.approx(0.05, rel=1e-9)
+    assert heur[0, 0] == pytest.approx(0.2, rel=1e-9)    # current value
+    assert heur[0, 1] == pytest.approx(0.2, rel=1e-9)
+    assert heur[0, 2] == pytest.approx(0.05, rel=1e-9)
 
 
 def test_neutral_landscape_scores_uniform_positive():
@@ -103,18 +103,18 @@ def test_neutral_landscape_scores_uniform_positive():
         lambda rows: np.ones((rows.shape[0], 2)), ("max", "min")
     )
     heur = compute_heuristics(
-        model, None, np.array([0.0]), [np.array([0.0, 1.0, 2.0])]
+        model, None, np.array([0.0]), *grid_table([np.array([0.0, 1.0, 2.0])])
     )
-    assert np.allclose(heur.values[0], 1.0)
+    assert np.allclose(heur[0], 1.0)
 
 
 def test_heuristic_strictly_positive_on_real_landscape():
     runtime = toy_runtime()
-    heur = compute_heuristics(
-        runtime.model, runtime.env, runtime.current, runtime.grids
-    )
-    for column in heur.values:
-        assert (column > 0).all()
+    values, valid = grid_table(runtime.grids)
+    heur = compute_heuristics(runtime.model, runtime.env, runtime.current, values, valid)
+    assert not valid.all()    # the toy grids differ in size, so some slots are padding
+    assert (heur[valid] > 0).all()
+    assert (heur[~valid] == 0).all()
 
 
 # -- selection -------------------------------------------------------------
@@ -124,19 +124,28 @@ def moaco_cfg(**overrides):
     return MoacoConfig.from_dict(overrides)
 
 
-def selection_increments(cdfs):
-    """Per-value selection probabilities recovered from cumulative rows."""
-    return [np.diff(cdf, axis=1, prepend=0.0) for cdf in cdfs]
+def selection_increments(cdf):
+    """Per-slot selection probabilities recovered from cumulative rows."""
+    return np.diff(cdf, axis=2, prepend=0.0)
 
 
 def test_selection_probability_ratio():
-    pher = PheromoneField(1, [2])
-    pher.trails[0][0] = np.array([2.0, 1.0])
-    heur = HeuristicField([np.array([1.0, 1.0])])
-    cdfs = selection_cdfs(pher, heur, moaco_cfg(alpha=1.0, beta=1.0))
-    probs = selection_increments(cdfs)[0][0]
+    trails = np.array([[[2.0, 1.0]]])
+    cdf = selection_cdfs(trails, np.ones((1, 2)), np.ones((1, 2), dtype=bool),
+                         moaco_cfg(alpha=1.0, beta=1.0))
+    probs = selection_increments(cdf)[0, 0]
     assert probs == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
-    assert cdfs[0][0, -1] == 1.0
+    assert cdf[0, 0, -1] == 1.0
+
+
+def test_padded_slots_get_no_weight_even_at_zero_exponents():
+    # 0 ** 0 == 1, so only the mask keeps the padding out of the draw
+    _, valid = grid_table([np.array([1.0, 2.0, 3.0]), np.array([5.0])])
+    trails = np.ones((1,) + valid.shape)
+    heur = np.where(valid, 1.0, 0.0)
+    cdf = selection_cdfs(trails, heur, valid, moaco_cfg(alpha=0.0, beta=0.0))
+    probs = selection_increments(cdf)[0]
+    assert np.allclose(probs, [[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]], rtol=1e-12, atol=0.0)
 
 
 def test_uniform_weights_sample_uniformly():
@@ -171,43 +180,46 @@ def test_single_value_grid_always_selected():
 
 
 def test_deposit_amount_shrinks_with_gap_to_global_best():
-    pher = PheromoneField(1, [2])
-    amount = deposit(pher, 0, [0], h_best=2.0, h_global=4.0, maximize=True, rho=0.1)
+    trails = np.ones((1, 1, 2))
+    amount = deposit(trails, 0, [0], h_best=2.0, h_global=4.0, maximize=True, rho=0.1)
     assert amount == pytest.approx(0.8, rel=1e-12)
 
 
 def test_deposit_is_full_when_iteration_matches_global():
-    a = deposit(PheromoneField(1, [2]), 0, [0], 3.0, 3.0, True, 0.1)
-    b = deposit(PheromoneField(1, [2]), 0, [0], 3.0, 3.0, False, 0.1)
+    a = deposit(np.ones((1, 1, 2)), 0, [0], 3.0, 3.0, True, 0.1)
+    b = deposit(np.ones((1, 1, 2)), 0, [0], 3.0, 3.0, False, 0.1)
     assert a == pytest.approx(1.0)
     assert b == pytest.approx(1.0)
 
 
 def test_deposit_evaporates_everything_and_rewards_best():
-    pher = PheromoneField(1, [2])
-    deposit(pher, 0, [0], 2.0, 4.0, maximize=True, rho=0.1)
-    assert pher.trails[0][0] == pytest.approx([1.7, 0.9], rel=1e-12)
+    # two objectives over two primitives: only objective 1's slice changes,
+    # and each primitive gains on exactly its rewarded index
+    trails = np.ones((2, 2, 3))
+    deposit(trails, 1, [0, 2], 2.0, 4.0, maximize=True, rho=0.1)
+    assert trails[1] == pytest.approx(np.array([[1.7, 0.9, 0.9], [0.9, 0.9, 1.7]]), rel=1e-12)
+    assert (trails[0] == 1.0).all()
 
 
 def test_bounds_follow_iteration_best_maximizing():
-    pher = PheromoneField(1, [2], floor_ratio=0.5)
-    update_bounds(pher, 0, h_best=10.0, maximize=True, rho=0.1)
-    assert pher.tau_max[0] == pytest.approx(11.1111, abs=5e-4)
-    assert pher.tau_min[0] == pytest.approx(5.5556, abs=5e-4)
+    tau_min, tau_max = trail_bounds(h_best=10.0, maximize=True, rho=0.1, floor_ratio=0.5)
+    assert tau_max == pytest.approx(11.1111, abs=5e-4)
+    assert tau_min == pytest.approx(5.5556, abs=5e-4)
 
 
 def test_bounds_follow_iteration_best_minimizing():
-    pher = PheromoneField(1, [2], floor_ratio=0.5)
-    update_bounds(pher, 0, h_best=2.0, maximize=False, rho=0.1)
-    assert pher.tau_max[0] == pytest.approx(0.5556, abs=5e-4)
+    _, tau_max = trail_bounds(h_best=2.0, maximize=False, rho=0.1, floor_ratio=0.5)
+    assert tau_max == pytest.approx(0.5556, abs=5e-4)
 
 
 def test_clamp_pulls_runaway_trails_into_bounds():
-    pher = PheromoneField(1, [3], floor_ratio=0.5)
-    update_bounds(pher, 0, h_best=10.0, maximize=True, rho=0.1)
-    pher.trails[0][0] = np.array([100.0, 8.0, 0.001])
-    pher.clamp(0)
-    assert pher.trails[0][0] == pytest.approx([11.1111, 8.0, 5.5556], abs=5e-4)
+    # each objective is clipped into its own bounds
+    trails = np.array([[[100.0, 8.0, 0.001]], [[100.0, 8.0, 0.001]]])
+    bounds = [trail_bounds(10.0, True, 0.1, 0.5), (1.0, 2.0)]
+    tau_min, tau_max = (np.array(b) for b in zip(*bounds))
+    clamp(trails, tau_min, tau_max)
+    assert trails[0, 0] == pytest.approx([11.1111, 8.0, 5.5556], abs=5e-4)
+    assert trails[1, 0] == pytest.approx([2.0, 2.0, 1.0], abs=0.0)
 
 
 # -- single-ant construction ----------------------------------------------
@@ -260,13 +272,29 @@ def test_construction_on_singleton_grids_is_forced():
 
 
 def test_archive_deduplicates_assignments():
-    archive = DecisionArchive(["p0", "p1"])
-    assert archive.add(np.array([1.0, 2.0]), np.array([0.5]), 0)
-    assert not archive.add(np.array([1.0, 2.0]), np.array([0.5]), 0)
-    assert archive.add(np.array([1.0, 3.0]), np.array([0.6]), 1)
+    # the repeat of (3, 2) keeps its first objectives, and rows stay in
+    # insertion order rather than sorted
+    archive = DecisionArchive(
+        ["p0", "p1"], [[3.0, 2.0], [3.0, 2.0], [1.0, 3.0]], [[0.5], [0.7], [0.6]], [0, 2, 1]
+    )
     assert len(archive) == 2
-    keys = [e.decision.key() for e in archive.entries()]
-    assert keys[0] == (("p0", 1), ("p1", 2))
+    first, second = archive.entries()
+    assert first.decision.assignments == {"p0": 3, "p1": 2}
+    assert first.objectives == (0.5,) and first.violation_count == 0
+    assert second.decision.assignments == {"p0": 1, "p1": 3}
+    assert [e.objectives for e in archive] == [(0.5,), (0.6,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
+def test_archive_keeps_first_occurrences_in_insertion_order(rows):
+    archive = DecisionArchive(["p0", "p1"], rows, [[float(i)] for i in range(len(rows))],
+                              [0] * len(rows))
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    assert archive.rows.tolist() == [list(row) for row in first]
+    assert archive.objectives[:, 0].tolist() == [float(i) for i in first.values()]
 
 
 # -- full colony runs ------------------------------------------------------
@@ -291,7 +319,7 @@ def test_optimize_is_seed_reproducible():
             runtime.model, runtime.env, runtime.current, runtime.grids,
             cfg, np.random.default_rng(seed),
         )
-        return [(e.decision.key(), e.objectives) for e in archive.entries()]
+        return [(e.decision.assignments, e.objectives) for e in archive.entries()]
 
     assert run(7) == run(7)
     assert run(7) != run(8) or len(run(7)) == 1
@@ -322,11 +350,10 @@ def test_trails_respect_bounds_after_each_iteration():
             runtime.model, runtime.env, runtime.current, runtime.grids,
             cfg, np.random.default_rng(11), stats=stats,
         )
-        pher = stats.pheromone
         for o in range(len(runtime.model.objective_ids)):
-            for trails in pher.trails:
-                assert (trails[o] >= pher.tau_min[o] - 1e-12).all()
-                assert (trails[o] <= pher.tau_max[o] + 1e-12).all()
+            trails = stats.trails[o][stats.valid]
+            assert (trails >= stats.tau_min[o] - 1e-12).all()
+            assert (trails <= stats.tau_max[o] + 1e-12).all()
 
 
 def test_global_best_never_worsens_across_iterations():
@@ -355,15 +382,17 @@ def test_selection_probabilities_normalized_after_full_run():
         runtime.model, runtime.env, runtime.current, runtime.grids,
         cfg, np.random.default_rng(9), stats=stats,
     )
-    cdfs = selection_cdfs(stats.pheromone, stats.heuristic, cfg)
-    for a, probs in enumerate(selection_increments(cdfs)):
+    cdf = selection_cdfs(stats.trails, stats.heuristic, stats.valid, cfg)
+    probs = selection_increments(cdf)
+    for a, size in enumerate(stats.valid.sum(axis=1)):
         weights = (
-            stats.pheromone.trails[a] ** cfg.alpha
-            * stats.heuristic.values[a][None, :] ** cfg.beta
+            stats.trails[:, a, :size] ** cfg.alpha
+            * stats.heuristic[None, a, :size] ** cfg.beta
         )
         expected = weights / weights.sum(axis=1, keepdims=True)
-        assert np.allclose(probs, expected, rtol=1e-9, atol=1e-12)
-        assert (np.abs(cdfs[a][:, -1] - 1.0) < 1e-12).all()
+        assert np.allclose(probs[:, a, :size], expected, rtol=1e-9, atol=1e-12)
+        assert (probs[:, a, size:] == 0.0).all()
+        assert (np.abs(cdf[:, a, size - 1:] - 1.0) < 1e-12).all()
 
 
 def test_config_rejects_unknown_and_nonpositive_settings():
@@ -410,3 +439,33 @@ def test_archive_entries_are_on_grid_and_scored_by_the_model(
         # how many rows share the batch
         assert entry.objectives == pytest.approx(tuple(vec), rel=1e-12, abs=0.0)
         assert entry.violation_count == int(model.violation_counts(vec)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    alpha=st.sampled_from((0.0, 1.0, 4.0)),
+    beta=st.sampled_from((0.0, 1.0, 4.0)),
+    feasible=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unequal_grids_never_draw_padding(sizes, alpha, beta, feasible, seed):
+    # positive grid values, so a drawn padding slot (value 0) is off every grid
+    grids = [10.0 * a + np.arange(1.0, g + 1.0) for a, g in enumerate(sizes)]
+    model = RecordingModel(
+        lambda rows: np.stack([rows.sum(axis=1), (rows ** 2).sum(axis=1)], axis=1),
+        ("min", "max"), pids=[f"p{a}" for a in range(len(sizes))],
+        thresholds=(1e9, 0.0) if feasible else (0.0, 1e9),
+    )
+    stats = OptimizeStats()
+    cfg = moaco_cfg(alpha=alpha, beta=beta, max_ant=5, max_iteration=3, max_run=4)
+    archive = optimize(model, None, np.array([g[0] for g in grids]), grids, cfg,
+                       np.random.default_rng(seed), stats=stats)
+    drawn = model.constructed_rows(grids)
+    assert drawn.shape[0] == stats.constructions
+    for a, grid in enumerate(grids):
+        assert np.isin(drawn[:, a], grid).all()
+        assert np.isin(archive.rows[:, a], grid).all()
+    cdf = selection_cdfs(stats.trails, stats.heuristic, stats.valid, cfg)
+    for a, size in enumerate(sizes):
+        assert (np.abs(cdf[:, a, size - 1:] - 1.0) <= 1e-12).all()

@@ -1,4 +1,4 @@
-"""Primitive grids, decision validation, and scenario structure checks."""
+"""Primitive grids, scenario structure checks, and replica naming."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from antscale.domain import (
     ConfigError,
     ControlPrimitiveSpec,
-    Decision,
     is_replica,
+    primitive_id,
     replica_id,
     root_id,
     scenario_from_dict,
-    validate_decision,
     validate_scenario,
 )
 from conftest import smoke_doc, toy_doc
@@ -78,19 +77,10 @@ def test_with_bounds_keeps_identity_and_moves_window():
     assert spec.lower_bound == 15    # original untouched
 
 
-def test_decision_key_is_order_independent():
-    a = Decision({"x": 1, "y": 2})
-    b = Decision({"y": 2, "x": 1})
-    assert a.key() == b.key()
-    assert a.value("y") == 2
-
-
 def test_objective_direction_semantics():
     scenario = scenario_from_dict(toy_doc())
     rt = scenario.objectives["s1.rt"]
     cost = scenario.objectives["s1.cost"]
-    assert rt.is_better(1.0, 2.0)
-    assert not rt.is_better(2.0, 2.0)
     assert rt.violated(2.5)
     assert not rt.violated(2.0)      # meeting the threshold exactly passes
     assert cost.violated(0.86)
@@ -147,25 +137,6 @@ def test_validate_catches_maximized_cost():
     assert any("cost" in p for p in problems)
 
 
-def test_validate_decision_flags_off_grid_value(smoke_scenario):
-    region = smoke_scenario.region_by_id("r1")
-    good = dict(smoke_scenario.initial_configuration())
-    decision = Decision({**good, "v1.cpu": 21})
-    problems = validate_decision(smoke_scenario, region, decision)
-    assert len(problems) == 1
-    assert "v1.cpu" in problems[0]
-
-
-def test_validate_decision_flags_missing_and_foreign(smoke_scenario):
-    region = smoke_scenario.region_by_id("r1")
-    partial = dict(smoke_scenario.initial_configuration())
-    del partial["s2.thread"]
-    partial["other.knob"] = 3
-    problems = validate_decision(smoke_scenario, region, Decision(partial))
-    assert any("s2.thread" in p for p in problems)
-    assert any("other.knob" in p for p in problems)
-
-
 def test_initial_configuration_is_on_grid(triple_scenario):
     config = triple_scenario.initial_configuration()
     for pid, value in config.items():
@@ -205,3 +176,6 @@ def test_replica_ids_round_trip_to_their_root(base, n):
     assert is_replica(replica)
     assert not is_replica(base)
     assert root_id(base) == base
+    # a clone's primitives are "<owner>.<resource>" and stay replica ids
+    assert primitive_id(replica, "cpu") == f"{replica}.cpu"
+    assert is_replica(primitive_id(replica, "cpu"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from antscale.baselines import nondominated_ranks
 from antscale.dominance import (
+    DecisionArchive,
     ScoredDecision,
     compromise_survivors,
     distance_select,
@@ -233,11 +234,22 @@ def test_distance_keeps_exact_ties():
 
 
 def scored(vectors, violations=None):
+    """The oracle's candidates: each one's decision is its input position."""
     violations = violations or [0] * len(vectors)
     return [
         ScoredDecision(decision=i, objectives=tuple(v), violation_count=c)
         for i, (v, c) in enumerate(zip(vectors, violations))
     ]
+
+
+def archive_of(vectors, violations=None):
+    """An archive whose one primitive "i" holds each row's input position."""
+    violations = violations or [0] * len(vectors)
+    return DecisionArchive(["i"], [[i] for i in range(len(vectors))], vectors, violations)
+
+
+def position(pick):
+    return pick.decision.assignments["i"]
 
 
 def oracle_survivors(candidates, directions):
@@ -289,45 +301,45 @@ def oracle_survivors(candidates, directions):
 
 
 def test_fewest_violations_wins_before_anything_else():
-    pool = scored([(9.0, 9.0), (1.0, 1.0)], violations=[0, 3])
-    survivors = compromise_survivors(pool, MIN2_SIGNS)
-    assert [s.decision for s in survivors] == [0]
+    survivors = compromise_survivors([(9.0, 9.0), (1.0, 1.0)], [0, 3], MIN2_SIGNS)
+    assert survivors == [0]
 
 
 def test_survivors_never_expand_the_pool():
     rng = np.random.default_rng(3)
     directions = ("minimize", "maximize", "minimize")
     for _ in range(25):
-        pool = scored(random_vectors(rng, 12, 3),
-                      violations=list(rng.integers(0, 3, size=12)))
-        survivors = compromise_survivors(pool, signs_of(directions))
+        vectors = random_vectors(rng, 12, 3)
+        survivors = compromise_survivors(
+            vectors, rng.integers(0, 3, size=12), signs_of(directions))
         assert survivors
-        assert len(survivors) <= len(pool)
-        assert all(s in pool for s in survivors)
+        assert survivors == sorted(set(survivors))
+        assert all(0 <= i < len(vectors) for i in survivors)
 
 
 def test_survivors_match_oracle_on_random_pools():
     rng = np.random.default_rng(91)
     directions = ("minimize", "maximize", "minimize", "minimize")
     for _ in range(40):
-        pool = scored(random_vectors(rng, 16, 4),
-                      violations=list(rng.integers(0, 2, size=16)))
-        got = {s.decision for s in compromise_survivors(pool, signs_of(directions))}
-        want = {s.decision for s in oracle_survivors(pool, directions)}
+        vectors = random_vectors(rng, 16, 4)
+        violations = list(rng.integers(0, 2, size=16))
+        got = compromise_survivors(vectors, violations, signs_of(directions))
+        want = [s.decision for s in oracle_survivors(scored(vectors, violations), directions)]
         assert got == want
 
 
 def test_unique_survivor_ignores_the_rng():
-    pool = scored([(1.0, 1.0), (2.0, 2.0), (3.0, 1.5)])
+    archive = archive_of([(1.0, 1.0), (2.0, 2.0), (3.0, 1.5)])
     for seed in range(10):
-        pick = select_compromise(pool, MIN2_SIGNS, np.random.default_rng(seed))
-        assert pick.decision == 0
+        pick = select_compromise(archive, MIN2_SIGNS, np.random.default_rng(seed))
+        assert position(pick) == 0
+        assert pick == archive.entry(0)
 
 
 def test_tied_survivors_resolved_by_seeded_draw():
-    pool = scored([(0.0, 1.0), (1.0, 0.0)])
+    archive = archive_of([(0.0, 1.0), (1.0, 0.0)])
     picks = {
-        select_compromise(pool, MIN2_SIGNS, np.random.default_rng(seed)).decision
+        position(select_compromise(archive, MIN2_SIGNS, np.random.default_rng(seed)))
         for seed in range(40)
     }
     assert picks == {0, 1}   # both reachable, choice is the rng's
@@ -339,7 +351,7 @@ def test_nine_to_one_trade_off_prefers_the_broad_winner():
     b = (2.0,) * 9 + (1.0,)
     assert not oracle_pareto(a, b, directions)
     assert not oracle_pareto(b, a, directions)
-    pool = scored([b, a])
+    archive = archive_of([b, a])
     for seed in range(20):
-        pick = select_compromise(pool, signs_of(directions), np.random.default_rng(seed))
+        pick = select_compromise(archive, signs_of(directions), np.random.default_rng(seed))
         assert pick.objectives == a
