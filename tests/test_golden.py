@@ -13,7 +13,7 @@ Regenerate after an intended behaviour change with
 
 import hashlib
 import shutil
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -68,8 +68,5 @@ def regenerate(scratch: Path) -> None:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch:
         regenerate(Path(scratch))
-    sys.exit(0)
