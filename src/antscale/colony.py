@@ -18,6 +18,8 @@ it finds a decision predicted to satisfy every requirement or its retry
 budget runs out, in which case its best attempt for its own objective stands.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +29,10 @@ from .domain import ConfigError
 from .dominance import DecisionArchive
 
 EPS = 1e-9
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -48,7 +54,20 @@ class MoacoConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"moaco: unknown parameters {sorted(unknown)}")
-        return cls(**doc)
+        cfg = cls(**doc)
+        for name in ("max_iteration", "max_ant", "max_run"):
+            value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"moaco: {name} must be a positive integer, got {value!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(cfg, name)
+            if not _is_real(value) or not 0 <= value < math.inf:
+                raise ConfigError(f"moaco: {name} must be a finite number >= 0, got {value!r}")
+        if not _is_real(cfg.rho) or not 0 < cfg.rho < 1:
+            raise ConfigError(f"moaco: rho must lie in (0, 1), got {cfg.rho!r}")
+        if not _is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
+            raise ConfigError(f"moaco: floor_ratio must lie in (0, 1], got {cfg.floor_ratio!r}")
+        return cfg
 
 
 def grid_table(grids):

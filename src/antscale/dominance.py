@@ -44,11 +44,15 @@ class DecisionArchive:
     ``rows`` holds each decision's grid values in ``primitive_ids`` order,
     ``objectives`` its predicted objective vector and ``violations`` its
     requirement violation count. A repeated assignment keeps its first
-    occurrence, and rows keep their insertion order.
+    occurrence, and rows keep their insertion order. Grid values are
+    integers; a row holding any other value raises ``ValueError``.
     """
 
     def __init__(self, primitive_ids, rows, objectives, violations):
-        rows = np.asarray(rows).astype(np.int64)
+        rows = np.asarray(rows)
+        if not (np.isfinite(rows) & (rows == np.trunc(rows))).all():
+            raise ValueError("DecisionArchive: rows must hold integral grid values")
+        rows = rows.astype(np.int64)
         _, first = np.unique(rows, axis=0, return_index=True)
         keep = np.sort(first)
         self.primitive_ids = list(primitive_ids)

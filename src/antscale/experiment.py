@@ -192,6 +192,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             raise ConfigError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
     if not 0 <= plan.warmup < plan.intervals:
         raise ConfigError("warmup must lie inside the simulated horizon")
+    # a bad decider setting fails the plan here, not at its first decision
+    params = plan.scenario.algorithm_params
+    MoacoConfig.from_dict(params.get("moaco", {}))
+    baselines.MogaConfig.from_dict(params.get("moga", {}))
     trace = resolve_trace(plan)
     tasks = [
         (plan.scenario, trace, approach, run_idx, plan)

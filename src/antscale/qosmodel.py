@@ -9,7 +9,11 @@ applied only when sampling what the environment "measured".
 
 Evaluation is batched: candidate decisions are rows of an integer matrix and
 all of a region's objectives are produced in one numpy pass, which is what
-keeps thousands of constructions per decision affordable.
+keeps thousands of constructions per decision affordable. The colony calls
+the model hundreds of times per decision with about a hundred rows each, so
+the fixed cost of a call matters as much as its cost per row: how objectives
+are read off the per-service results is planned once per model as index
+arrays, and a call runs a fixed, short sequence of array operations.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,6 @@ import numpy as np
 
 from .domain import (
     KIND_AVAILABILITY,
-    KIND_COST,
     KIND_RELIABILITY,
     KIND_RESPONSE_TIME,
     KIND_THROUGHPUT,
@@ -70,6 +73,16 @@ class ModelParams:
         return cls(**{k: float(v) for k, v in doc.items()})
 
 
+# per-service planes of predict_matrix, one per kind measured at a service;
+# a replica group's objective averages (throughput: sums) its members' columns
+_PLANES = {
+    KIND_RESPONSE_TIME: 0,
+    KIND_THROUGHPUT: 1,
+    KIND_RELIABILITY: 2,
+    KIND_AVAILABILITY: 3,
+}
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
@@ -80,6 +93,25 @@ class RegionModel:
     Rebuild whenever the topology changes (replica VMs appear or retire); the
     construction cost is a few small loops, so rebuilding per decision call is
     also fine.
+
+    The per-objective work is planned once here. :meth:`predict_matrix`
+    computes one ``(k, n_services)`` plane per service-level kind (response
+    time, throughput, reliability, availability), then fills the objective
+    matrix from three plans:
+
+    - an objective whose owner has no replicas reads its owner's column of
+      its kind's plane, and all such objectives are filled by one gather;
+    - the objectives of an owner with replicas are filled together: the sum
+      of the members' throughput columns, and for the other kinds the
+      members' columns weighted by their share of the group's workload (a
+      plain mean when the group has no workload);
+    - a cost objective is one matrix-vector product of the configuration
+      rows with its price vector.
+
+    The plans give the same bits a loop over objectives gives: for a single
+    member, its workload share is exactly 1.0 and the mean or sum of one
+    value is that value, and replica groups keep the per-objective products
+    and reductions.
     """
 
     def __init__(self, scenario: Scenario, region: Region, topology: Topology,
@@ -94,6 +126,10 @@ class RegionModel:
         self.direction_signs = np.array(
             [-1.0 if o.direction == MINIMIZE else 1.0 for o in self.objectives]
         )
+        # acceptable range per objective: [threshold, inf] or [-inf, threshold]
+        maximize = self.direction_signs > 0
+        self._lower = np.where(maximize, self.thresholds, -np.inf)
+        self._upper = np.where(maximize, np.inf, self.thresholds)
 
         self.all_pids = list(prim_specs)
         self._all_index = {pid: i for i, pid in enumerate(self.all_pids)}
@@ -181,16 +217,61 @@ class RegionModel:
         self._kinds = [o.kind for o in self.objectives]
         self._noise_kinds = np.array([o.model == MODEL_QUEUE for o in self.objectives])
 
+        # gather plans (see the class docstring), built once per model
+        single_js, single_planes, single_cols = [], [], []
+        groups = {}   # owner -> (members, throughput js, averaged js, their planes)
+        self._cost_plans = []
+        for j, (obj, members) in enumerate(zip(self.objectives, self._member_idx)):
+            if obj.kind in _PLANES and len(members) == 1:
+                single_js.append(j)
+                single_planes.append(_PLANES[obj.kind])
+                single_cols.append(members[0])
+            elif obj.kind in _PLANES:
+                _, sum_js, mean_js, mean_planes = groups.setdefault(
+                    obj.owner, (members, [], [], [])
+                )
+                if obj.kind == KIND_THROUGHPUT:
+                    sum_js.append(j)
+                else:
+                    mean_js.append(j)
+                    mean_planes.append(_PLANES[obj.kind])
+            elif self._cost_cols[j] is not None:
+                self._cost_plans.append((j, self._cost_cols[j]))
+            else:
+                raise ConfigError(
+                    f"objective {self.objective_ids[j]}: no evaluator for {obj.kind}"
+                )
+        self._single_js = np.array(single_js, dtype=int)
+        self._single_planes = np.array(single_planes, dtype=int)
+        self._single_cols = np.array(single_cols, dtype=int)
+        self._group_plans = [
+            (members, np.array(sum_js, dtype=int), np.array(mean_js, dtype=int),
+             np.array(mean_planes, dtype=int))
+            for members, sum_js, mean_js, mean_planes in groups.values()
+        ]
+
     # -- batched core ------------------------------------------------------
 
     def _full_config(self, values: np.ndarray, env) -> np.ndarray:
-        base = np.array([float(env.current_configuration[pid]) for pid in self.all_pids])
+        """Configuration rows over every primitive, plus one trailing zero column.
+
+        A gather index of -1 (a VM or service without that primitive) reads
+        the zero column.
+        """
+        n = len(self.all_pids)
+        base = np.zeros(n + 1)
+        base[:n] = np.fromiter(
+            (env.current_configuration[pid] for pid in self.all_pids), dtype=float, count=n
+        )
         full = np.repeat(base[None, :], values.shape[0], axis=0)
         full[:, self._region_cols] = values
         return full
 
     def _workloads(self, env) -> np.ndarray:
-        return np.array([float(env.workloads.get(s, 0.0)) for s in self._service_ids])
+        return np.fromiter(
+            (env.workloads.get(s, 0.0) for s in self._service_ids),
+            dtype=float, count=len(self._service_ids),
+        )
 
     def predict_matrix(self, values: np.ndarray, env) -> np.ndarray:
         """Objective matrix for candidate decisions.
@@ -205,24 +286,32 @@ class RegionModel:
             float array of shape (k, len(region.objective_ids)).
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
+        k = values.shape[0]
         p = self.params
         full = self._full_config(values, env)
         wl = self._workloads(env)
 
-        cap = np.where(self._cpu_col >= 0, full[:, self._cpu_col], 0.0)
-        mem = np.where(self._mem_col >= 0, full[:, self._mem_col], 0.0)
-        thr = np.where(self._thr_col >= 0, full[:, self._thr_col], 0.0)
+        cap = full[:, self._cpu_col]
+        mem = full[:, self._mem_col]
+        thr = full[:, self._thr_col]
 
         vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
         cpu_demand = vm_wl * p.cpu_demand_per_req
         usage = np.minimum(cap, cpu_demand[None, :])
-        pressure = np.zeros((values.shape[0], self._n_pms))
-        np.add.at(pressure.T, self._pm_of_vm, usage.T)
+        # bincount adds each row's VMs in VM order, as a sequential sum would
+        row_base = np.arange(k)[:, None]
+        pressure = np.bincount(
+            (row_base * self._n_pms + self._pm_of_vm).ravel(),
+            weights=usage.ravel(), minlength=k * self._n_pms,
+        ).reshape(k, self._n_pms)
         contention = np.maximum(1.0, pressure / p.cpu_contention_limit)
         cpu_eff = cap / contention[:, self._pm_of_vm]
 
-        vm_threads = np.zeros_like(cap)
-        np.add.at(vm_threads.T, self._vm_of_service, thr.T)
+        n_vms = len(self._vm_ids)
+        vm_threads = np.bincount(
+            (row_base * n_vms + self._vm_of_service).ravel(),
+            weights=thr.ravel(), minlength=k * n_vms,
+        ).reshape(k, n_vms)
         saturation = p.thread_sat_per_mb * mem
         overload = np.maximum(0.0, vm_threads - saturation)
 
@@ -234,34 +323,29 @@ class RegionModel:
         )
         capacity = np.maximum(capacity, p.min_capacity)
 
+        # one plane per service-level kind, in _PLANES order
+        planes = np.empty((4, k, len(self._service_ids)))
+        rt, tp = planes[0], planes[1]
         rho = np.minimum(wl[None, :] / capacity, 0.99)
-        rt = p.rt_base_ms / (1.0 - rho)
-        tp = np.minimum(wl[None, :], capacity)
-        rel = 100.0 * _sigmoid(p.rel_slope * (self._rt_ref[None, :] - rt))
-        avail = 100.0 * _sigmoid(p.avail_slope * (p.avail_rt_ref_ms - rt))
+        np.divide(p.rt_base_ms, 1.0 - rho, out=rt)
+        np.minimum(wl[None, :], capacity, out=tp)
+        planes[2] = p.rel_slope * (self._rt_ref[None, :] - rt)
+        planes[3] = p.avail_slope * (p.avail_rt_ref_ms - rt)
+        planes[2:] = 100.0 * _sigmoid(planes[2:])
 
-        def group_mean(arr, members):
+        out = np.empty((k, len(self.objectives)))
+        out[:, self._single_js] = planes[self._single_planes, :, self._single_cols].T
+        for members, sum_js, mean_js, mean_planes in self._group_plans:
+            group = planes[:, :, members]
+            out[:, sum_js] = group[_PLANES[KIND_THROUGHPUT]].sum(axis=1)[:, None]
+            stacked = group[mean_planes]
             w = wl[members]
             total = w.sum()
-            if total <= 0.0:
-                return arr[:, members].mean(axis=1)
-            return arr[:, members] @ (w / total)
-
-        out = np.empty((values.shape[0], len(self.objectives)))
-        for j, kind in enumerate(self._kinds):
-            members = self._member_idx[j]
-            if kind == KIND_RESPONSE_TIME:
-                out[:, j] = group_mean(rt, members)
-            elif kind == KIND_THROUGHPUT:
-                out[:, j] = tp[:, members].sum(axis=1)
-            elif kind == KIND_RELIABILITY:
-                out[:, j] = group_mean(rel, members)
-            elif kind == KIND_AVAILABILITY:
-                out[:, j] = group_mean(avail, members)
-            elif kind == KIND_COST or self._cost_cols[j] is not None:
-                out[:, j] = full @ self._cost_cols[j]
-            else:
-                raise ConfigError(f"objective {self.objective_ids[j]}: no evaluator for {kind}")
+            means = stacked.mean(axis=2) if total <= 0.0 else stacked @ (w / total)
+            out[:, mean_js] = means.T
+        columns = full[:, :-1]
+        for j, prices in self._cost_plans:
+            out[:, j] = columns @ prices
         return out
 
     # -- convenience forms -------------------------------------------------
@@ -296,8 +380,7 @@ class RegionModel:
     def violation_counts(self, vectors: np.ndarray) -> np.ndarray:
         """Number of breached requirements per row, meeting exactly is a pass."""
         vectors = np.atleast_2d(vectors)
-        signed_gap = (vectors - self.thresholds[None, :]) * self.direction_signs[None, :]
-        return (signed_gap < 0).sum(axis=1)
+        return ((vectors < self._lower) | (vectors > self._upper)).sum(axis=1)
 
 
 class DemandModel:

@@ -422,7 +422,7 @@ def test_criterion_09_phase_time_scaling(capsys):
     # thresholds no construction can meet: every ant uses every retry, so
     # the construction count is exactly iterations x ants x retries
     build_model = _FlatModel(4, (MINIMIZE, MAXIMIZE), thresholds=np.array([0.0, inf]))
-    grids = [np.linspace(0.0, 1.0, 25)] * 4
+    grids = [np.arange(25.0)] * 4
 
     def colony_seconds(iterations):
         cfg = MoacoConfig.from_dict({
@@ -431,7 +431,7 @@ def test_criterion_09_phase_time_scaling(capsys):
         stats = OptimizeStats()
         started = time.process_time()
         optimize(
-            build_model, None, np.full(4, 0.5), grids,
+            build_model, None, np.full(4, 12.0), grids,
             cfg, np.random.default_rng(5), stats=stats,
         )
         elapsed = time.process_time() - started

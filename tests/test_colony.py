@@ -285,6 +285,22 @@ def test_archive_deduplicates_assignments():
     assert [e.objectives for e in archive] == [(0.5,), (0.6,)]
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.25, -1e-9, np.nan, np.inf])
+def test_archive_rejects_non_integral_rows(bad):
+    with pytest.raises(ValueError, match="integral"):
+        DecisionArchive(["p0", "p1"], [[3.0, 2.0], [1.0, bad]], [[0.5], [0.6]], [0, 0])
+
+
+def test_colony_on_float_grids_raises_instead_of_truncating():
+    runtime = toy_runtime()
+    grids = [np.linspace(0.0, 1.0, 5)] + list(runtime.grids[1:])
+    with pytest.raises(ValueError, match="integral"):
+        optimize(
+            runtime.model, runtime.env, runtime.current, grids,
+            moaco_cfg(max_ant=4, max_iteration=1, max_run=1), np.random.default_rng(0),
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
 def test_archive_keeps_first_occurrences_in_insertion_order(rows):

@@ -311,3 +311,39 @@ def test_cli_thread_count_reads_environment(tmp_path, monkeypatch, capsys):
         tmp_path / "one" / "smoke" / "summary.csv"
     ).read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("rho", 0.0), ("rho", 1.0), ("rho", 1.5), ("rho", -0.1),
+    ("floor_ratio", 0.0), ("floor_ratio", 2.0), ("alpha", -1.0), ("beta", -0.5),
+    ("max_ant", 0), ("max_iteration", -2), ("max_run", 2.5), ("max_ant", True),
+    ("alpha", "4"),
+])
+def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
+    doc = smoke_doc()
+    doc["algorithms"]["moaco"][setting] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([
+        "run", "--scenario", str(path), "--approaches", "moaco-cd",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moaco: ") and setting in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path):
+    doc = smoke_doc()
+    doc["algorithms"]["moga"]["population"] = 7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([
+        "run", "--scenario", str(path), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ])
+    assert code == 2
+    assert not (tmp_path / "out").exists()

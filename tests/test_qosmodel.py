@@ -1,10 +1,14 @@
 """Interference-aware QoS predictions: frozen values, clamps, monotonicity."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from antscale.domain import ConfigError, Decision, scenario_from_dict
-from antscale.qosmodel import DemandModel, ModelParams, RegionModel, utilization
+from antscale.domain import ConfigError, Decision, is_replica, scenario_from_dict
+from antscale.qosmodel import DemandModel, ModelParams, RegionModel, _sigmoid, utilization
 from antscale.simulator import EnvironmentState, Simulator
 from conftest import smoke_doc, triple_doc
 
@@ -213,3 +217,170 @@ def test_queue_service_needs_all_three_primitives():
     sim = Simulator(scenario, {"s1": [50.0], "s2": [50.0]}, seed=0)
     with pytest.raises(ConfigError):
         sim.region_model("r1")
+
+
+def test_objective_without_evaluator_fails_at_construction():
+    doc = smoke_doc()
+    doc["objectives"][0]["kind"] = "custom"
+    doc["objectives"][0]["direction"] = "minimize"
+    with pytest.raises(ConfigError, match="no evaluator"):
+        build_model(scenario_from_dict(doc))
+
+
+# -- oracle: the per-objective evaluator the gather plans replaced ----------
+
+
+def reference_predict_matrix(model, values, env):
+    """Objective matrix computed one objective at a time, as the model once did."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    p = model.params
+    base = np.array([float(env.current_configuration[pid]) for pid in model.all_pids])
+    full = np.repeat(base[None, :], values.shape[0], axis=0)
+    full[:, model._region_cols] = values
+    wl = np.array([float(env.workloads.get(s, 0.0)) for s in model._service_ids])
+
+    cap = np.where(model._cpu_col >= 0, full[:, model._cpu_col], 0.0)
+    mem = np.where(model._mem_col >= 0, full[:, model._mem_col], 0.0)
+    thr = np.where(model._thr_col >= 0, full[:, model._thr_col], 0.0)
+
+    vm_wl = np.bincount(model._vm_of_service, weights=wl, minlength=len(model._vm_ids))
+    cpu_demand = vm_wl * p.cpu_demand_per_req
+    usage = np.minimum(cap, cpu_demand[None, :])
+    pressure = np.zeros((values.shape[0], model._n_pms))
+    np.add.at(pressure.T, model._pm_of_vm, usage.T)
+    contention = np.maximum(1.0, pressure / p.cpu_contention_limit)
+    cpu_eff = cap / contention[:, model._pm_of_vm]
+
+    vm_threads = np.zeros_like(cap)
+    np.add.at(vm_threads.T, model._vm_of_service, thr.T)
+    saturation = p.thread_sat_per_mb * mem
+    overload = np.maximum(0.0, vm_threads - saturation)
+
+    share = cpu_eff / model._services_per_vm[None, :]
+    capacity = (
+        p.cpu_rate * share[:, model._vm_of_service]
+        + p.thread_rate * thr
+        - p.overload_penalty * overload[:, model._vm_of_service]
+    )
+    capacity = np.maximum(capacity, p.min_capacity)
+
+    rho = np.minimum(wl[None, :] / capacity, 0.99)
+    rt = p.rt_base_ms / (1.0 - rho)
+    tp = np.minimum(wl[None, :], capacity)
+    rel = 100.0 * _sigmoid(p.rel_slope * (model._rt_ref[None, :] - rt))
+    avail = 100.0 * _sigmoid(p.avail_slope * (p.avail_rt_ref_ms - rt))
+
+    def group_mean(arr, members):
+        w = wl[members]
+        total = w.sum()
+        if total <= 0.0:
+            return arr[:, members].mean(axis=1)
+        return arr[:, members] @ (w / total)
+
+    out = np.empty((values.shape[0], len(model.objectives)))
+    for j, kind in enumerate(model._kinds):
+        members = model._member_idx[j]
+        if kind == "response_time":
+            out[:, j] = group_mean(rt, members)
+        elif kind == "throughput":
+            out[:, j] = tp[:, members].sum(axis=1)
+        elif kind == "reliability":
+            out[:, j] = group_mean(rel, members)
+        elif kind == "availability":
+            out[:, j] = group_mean(avail, members)
+        else:
+            out[:, j] = full @ model._cost_cols[j]
+    return out
+
+
+def reference_violation_counts(model, vectors):
+    """Breaches per row by the sign of the direction-adjusted threshold gap."""
+    vectors = np.atleast_2d(vectors)
+    signed_gap = (vectors - model.thresholds[None, :]) * model.direction_signs[None, :]
+    return (signed_gap < 0).sum(axis=1)
+
+
+ORACLE_CASES = ("smoke", "smoke-replica", "triple_vm", "triple_vm-replica")
+WORKLOAD = st.one_of(st.just(0.0), st.floats(0.5, 500.0))
+
+
+@functools.cache
+def oracle_case(name):
+    """(model, live configuration, per-column lower and upper value) of a case.
+
+    The replica cases step a simulator until its first scale-out clone is in
+    place: the smoke one is test_simulator's overloaded scenario, the
+    triple_vm one has a pm1 that cannot fit its three VMs' CPU bounds.
+    """
+    base, _, replica = name.partition("-")
+    doc = smoke_doc() if base == "smoke" else triple_doc()
+    services = [svc["id"] for svc in doc["topology"]["services"]]
+    if replica and base == "smoke":
+        doc["topology"]["pms"] = [
+            {"id": "pm1", "capacity": {"cpu": 25, "memory": 2000}},
+            {"id": "pm2", "capacity": {"cpu": 40, "memory": 2000}},
+        ]
+        doc["model"] = {"noise_std": 0.0, "mem_demand_base": 50.0}
+    elif replica:
+        doc["topology"]["pms"][0]["capacity"]["cpu"] = 60
+    sim = Simulator(scenario_from_dict(doc), {s: [200.0] * 3 for s in services}, seed=5)
+    if replica:
+        sim.step()                  # fires the capacity trigger
+        sim.step()                  # clone applied
+        assert any(is_replica(vm.id) for vm in sim.topology.vms)
+    model = sim.region_model("r1")
+    specs = [sim.prim_specs[pid] for pid in model.region_pids]
+    low = np.array([s.hard_min for s in specs])
+    high = np.array([s.hard_max for s in specs])
+    return model, dict(sim.config), low, high
+
+
+def oracle_inputs(case, k, seed, loads):
+    """(model, rows, env): k seeded rows between the hard limits, given workloads."""
+    model, config, low, high = oracle_case(case)
+    rows = np.random.default_rng(seed).integers(low, high + 1, size=(k, len(low)))
+    env = EnvironmentState(0, dict(zip(model._service_ids, loads)), config, {})
+    return model, rows, env
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+@example(case="triple_vm-replica", k=150, seed=0, loads=[0.0] * 10)
+@example(case="smoke-replica", k=3, seed=1, loads=[0.0] * 10)
+def test_predict_matrix_matches_the_per_objective_oracle(case, k, seed, loads):
+    model, rows, env = oracle_inputs(case, k, seed, loads)
+    assert np.array_equal(
+        bits(model.predict_matrix(rows, env)), bits(reference_predict_matrix(model, rows, env))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+def test_violation_counts_match_the_signed_gap_oracle(case, k, seed, loads):
+    model, rows, env = oracle_inputs(case, k, seed, loads)
+    vectors = model.predict_matrix(rows, env)
+    # some entries meet their threshold exactly; then rows at every threshold,
+    # all NaN and all infinite in each direction
+    meet = np.random.default_rng(seed).random(vectors.shape) < 0.3
+    vectors = np.where(meet, model.thresholds[None, :], vectors)
+    vectors = np.vstack([
+        vectors, model.thresholds, np.full_like(model.thresholds, np.nan),
+        np.full_like(model.thresholds, np.inf), np.full_like(model.thresholds, -np.inf),
+    ])
+    counts = model.violation_counts(vectors)
+    assert np.array_equal(counts, reference_violation_counts(model, vectors))
+    assert counts[k] == 0 and counts[k + 1] == 0
