@@ -6,7 +6,7 @@ import sys
 
 from . import traces
 from .domain import ConfigError, load_scenario, validate_scenario
-from .experiment import APPROACHES, ExperimentPlan, run_experiment
+from .experiment import APPROACHES, ExperimentPlan, resolve_trace, run_experiment
 
 
 def _load_checked(path: str):
@@ -55,17 +55,10 @@ def cmd_run(args) -> int:
 
 def cmd_gen_trace(args) -> int:
     scenario = _load_checked(args.scenario)
-    params = dict(scenario.trace_params)
-    managed = [s.id for s in scenario.topology.services if s.managed]
-    workloads = traces.synthetic_trace(
-        managed,
-        args.intervals,
-        seed=args.seed,
-        peak=float(params.get("peak", 400.0)),
-        noise=float(params.get("noise", 0.04)),
-        profiles=params.get("profiles"),
+    plan = ExperimentPlan(
+        name=scenario.name, scenario=scenario, intervals=args.intervals, seed=args.seed
     )
-    traces.write_trace_csv(args.out, workloads)
+    traces.write_trace_csv(args.out, resolve_trace(plan))
     print(f"wrote {args.out}")
     return 0
 
@@ -112,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-trace", help="write a synthetic workload trace")
     gen.add_argument("--scenario", required=True)
     gen.add_argument("--intervals", type=int, default=70)
-    gen.add_argument("--seed", type=int, default=1)
+    gen.add_argument("--seed", type=int, default=1,
+                     help="plan seed; writes the trace `run --seed` synthesizes")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(func=cmd_gen_trace)
 

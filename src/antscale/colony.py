@@ -50,7 +50,8 @@ class MoacoConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MoacoConfig":
-        known = set(cls.__dataclass_fields__)
+        # the plan's per-decision budget sets time_budget_s; a scenario may not
+        known = set(cls.__dataclass_fields__) - {"time_budget_s"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"moaco: unknown parameters {sorted(unknown)}")

@@ -106,12 +106,14 @@ class ControlPrimitiveSpec:
             return False
         return (value - self.base_lower) % self.step == 0
 
+    def phase(self, value: float) -> int:
+        """Nearest point of the grid's phase to ``value``, not clamped to bounds."""
+        ticks = math.floor((value - self.base_lower) / self.step + 0.5)
+        return self.base_lower + ticks * self.step
+
     def snap(self, value: float) -> int:
         """Nearest grid value to an arbitrary observation, clamped to bounds."""
-        ticks = math.floor((value - self.base_lower) / self.step + 0.5)
-        snapped = self.base_lower + ticks * self.step
-        lo, hi = self.lower_bound, self.upper_bound
-        return int(min(max(snapped, lo), hi))
+        return int(min(max(self.phase(value), self.lower_bound), self.upper_bound))
 
     def with_bounds(self, lower: int, upper: int) -> "ControlPrimitiveSpec":
         return dataclasses.replace(self, lower_bound=int(lower), upper_bound=int(upper))

@@ -10,13 +10,13 @@ seed, so re-running an identical plan reproduces every output byte.
 import concurrent.futures
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, colony, traces
-from .colony import MoacoConfig, OptimizeStats
+from .colony import MoacoConfig
 from .dominance import select_compromise
 from .domain import ConfigError, Decision, Scenario
 from .metrics import (
@@ -149,7 +149,7 @@ def run_single(scenario: Scenario, trace: dict, approach: str, run_idx: int,
                 )
         merged = {}
         for region in scenario.regions:
-            live_region = sim.effective_region(region.id)
+            live_region = sim.region_model(region.id).region
             trigger = detect_trigger(
                 result.env, live_region, result.observed, scenario.objectives, sim.prim_specs
             )

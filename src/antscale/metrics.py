@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .domain import DIRECTIONS, MAXIMIZE, MINIMIZE
+from .domain import DIRECTIONS, MINIMIZE
 
 RUNLOG_HEADER = ["record", "interval", "id", "value", "aux", "tag"]
 

@@ -383,33 +383,26 @@ class RegionModel:
         return ((vectors < self._lower) | (vectors > self._upper)).sum(axis=1)
 
 
-class DemandModel:
-    """Workload-driven requirement proxies behind utilization and provisioning.
+def demand(params: ModelParams, spec, topology: Topology, workloads: dict):
+    """Workload-driven requirement estimate for one primitive, or None if untracked.
 
     Demand is what the current workload would need of a primitive; dividing by
     the provisioned value gives :func:`utilization`. The same series doubles as
     the per-interval requirement record for over/under-provisioning accounting.
     """
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-
-    def demand(self, spec, topology: Topology, workloads: dict):
-        """Requirement estimate for one primitive, or None if untracked."""
-        p = self.params
-        if spec.scope == SCOPE_VM:
-            load = sum(
-                float(workloads.get(svc.id, 0.0))
-                for svc in topology.services_on_vm(spec.owner)
-            )
-            if spec.resource == RES_CPU:
-                return load * p.cpu_demand_per_req
-            if spec.resource == RES_MEMORY:
-                return p.mem_demand_base + load * p.mem_demand_per_req
-            return None
-        if spec.resource == RES_THREAD:
-            return float(workloads.get(spec.owner, 0.0)) * p.thread_demand_per_req
+    if spec.scope == SCOPE_VM:
+        load = sum(
+            float(workloads.get(svc.id, 0.0))
+            for svc in topology.services_on_vm(spec.owner)
+        )
+        if spec.resource == RES_CPU:
+            return load * params.cpu_demand_per_req
+        if spec.resource == RES_MEMORY:
+            return params.mem_demand_base + load * params.mem_demand_per_req
         return None
+    if spec.resource == RES_THREAD:
+        return float(workloads.get(spec.owner, 0.0)) * params.thread_demand_per_req
+    return None
 
 
 def utilization(demand: float, provision: float) -> float:

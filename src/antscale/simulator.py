@@ -28,7 +28,7 @@ from .domain import (
     replica_id,
     root_id,
 )
-from .qosmodel import DemandModel, ModelParams, RegionModel, utilization
+from .qosmodel import ModelParams, RegionModel, demand, utilization
 
 TRIGGER_SLA = "sla-violation"
 TRIGGER_LOW_UTIL = "low-utilization"
@@ -105,15 +105,11 @@ def adapt_bounds(spec: ControlPrimitiveSpec, decided: int, observed: float) -> C
     else:
         stretched = float(upper)
 
-    def snap(x: float) -> int:
-        ticks = int(np.floor((x - spec.base_lower) / spec.step + 0.5))
-        return spec.base_lower + ticks * spec.step
-
     # a shrink never undercuts the lower bound as it was when this ran
-    new_upper = int(min(max(snap(stretched), spec.lower_bound), spec.hard_max))
+    new_upper = int(min(max(spec.phase(stretched), spec.lower_bound), spec.hard_max))
     # the hard clamp may land between grid points; settle on the phase below
     new_upper -= (new_upper - spec.base_lower) % spec.step
-    new_lower = int(min(max(spec.base_lower, snap(observed)), new_upper))
+    new_lower = int(min(max(spec.base_lower, spec.phase(observed)), new_upper))
     return spec.with_bounds(new_lower, new_upper)
 
 
@@ -134,12 +130,9 @@ class Simulator:
         self.prim_specs = dict(scenario.primitives)
         self.config = scenario.initial_configuration()
         self.params = ModelParams.from_dict(scenario.model_params)
-        self.demand_model = DemandModel(self.params)
         self.rng = np.random.default_rng(seed)
         self.interval = -1
         self.last_decided = None
-        # instance groups sharing one trace series: root service id -> instance ids
-        self.groups = {svc.id: [svc.id] for svc in scenario.topology.services}
         self._pending = []          # horizontal ops queued for the next step
         self._fired = set()         # (pm id, resource) pairs awaiting re-arm
         self._replica_seq = itertools.count(1)
@@ -179,11 +172,11 @@ class Simulator:
         return self._models[region_id]
 
     def region_runtime(self, region_id: str, env: EnvironmentState) -> RegionRuntime:
-        region = self.effective_region(region_id)
-        specs = [self.prim_specs[pid] for pid in region.primitive_ids]
+        model = self.region_model(region_id)
+        specs = [self.prim_specs[pid] for pid in model.region_pids]
         grids = [np.array(s.grid(), dtype=float) for s in specs]
-        current = np.array([float(self.config[pid]) for pid in region.primitive_ids])
-        return RegionRuntime(region, self.region_model(region_id), env, grids, current, specs)
+        current = np.array([float(self.config[pid]) for pid in model.region_pids])
+        return RegionRuntime(model.region, model, env, grids, current, specs)
 
     # -- stepping ----------------------------------------------------------
 
@@ -211,7 +204,7 @@ class Simulator:
         demands = {}
         utilizations = {}
         for pid, spec in self.prim_specs.items():
-            d = self.demand_model.demand(spec, self.topology, workloads)
+            d = demand(self.params, spec, self.topology, workloads)
             if d is None:
                 continue
             demands[pid] = d
@@ -244,40 +237,49 @@ class Simulator:
     # -- internals ---------------------------------------------------------
 
     def _split_workloads(self, interval: int) -> dict:
+        """Each root's trace value, shared evenly by the root and its replicas."""
+        members = {}
+        for svc in self.topology.services:
+            members.setdefault(root_id(svc.id), []).append(svc.id)
         workloads = {}
-        for root, members in self.groups.items():
+        for root, ids in members.items():
             series = self.trace.get(root)
             if series is None:
                 continue
-            share = float(series[interval]) / len(members)
-            for member in members:
-                workloads[member] = share
+            share = float(series[interval]) / len(ids)
+            for sid in ids:
+                workloads[sid] = share
         return workloads
 
-    def _vm_prims(self, vm_id: str) -> list:
+    def _owned(self, scope: str, owner: str) -> list:
+        """Ids of the ``scope`` primitives that the VM or service ``owner`` holds."""
         return [
             pid for pid, s in self.prim_specs.items()
-            if s.scope == SCOPE_VM and s.owner == vm_id
+            if s.scope == scope and s.owner == owner
         ]
 
-    def _service_prims(self, service_id: str) -> list:
-        return [
-            pid for pid, s in self.prim_specs.items()
-            if s.scope == SCOPE_SERVICE and s.owner == service_id
+    def _hosted(self, vm_id: str) -> list:
+        """A VM's own primitives, then those of each service it hosts."""
+        return self._owned(SCOPE_VM, vm_id) + [
+            pid for svc in self.topology.services_on_vm(vm_id)
+            for pid in self._owned(SCOPE_SERVICE, svc.id)
         ]
+
+    def _upper_sum(self, vms, resource: str) -> int:
+        """Summed live upper bounds of the ``resource`` primitives of ``vms``."""
+        return sum(
+            self.prim_specs[pid].upper_bound
+            for vm in vms
+            for pid in self._owned(SCOPE_VM, vm.id)
+            if self.prim_specs[pid].resource == resource
+        )
 
     def _evaluate_horizontal(self, env: EnvironmentState, events: list) -> None:
         # scale-out: summed upper bounds crossing PM capacity, edge-triggered
         for pm in self.topology.pms:
             for resource, capacity in pm.capacity.items():
-                total_upper = sum(
-                    self.prim_specs[pid].upper_bound
-                    for vm in self.topology.vms_on_pm(pm.id)
-                    for pid in self._vm_prims(vm.id)
-                    if self.prim_specs[pid].resource == resource
-                )
                 key = (pm.id, resource)
-                if total_upper > capacity:
+                if self._upper_sum(self.topology.vms_on_pm(pm.id), resource) > capacity:
                     if key not in self._fired:
                         self._fired.add(key)
                         self._queue_scale_out(pm.id, resource, events)
@@ -288,10 +290,7 @@ class Simulator:
         for vm in self.topology.vms:
             if not is_replica(vm.id):
                 continue
-            pids = self._vm_prims(vm.id) + [
-                pid for svc in self.topology.services_on_vm(vm.id)
-                for pid in self._service_prims(svc.id)
-            ]
+            pids = self._hosted(vm.id)
             at_min = all(self.config[pid] <= self.prim_specs[pid].lower_bound for pid in pids)
             idle = all(
                 env.utilizations.get(pid) is not None
@@ -303,14 +302,9 @@ class Simulator:
                 events.append(("scale-in-queued", vm.id))
 
     def _queue_scale_out(self, pm_id: str, resource: str, events: list) -> None:
-        vms = self.topology.vms_on_pm(pm_id)
-        def pressure(vm):
-            return sum(
-                self.prim_specs[pid].upper_bound
-                for pid in self._vm_prims(vm.id)
-                if self.prim_specs[pid].resource == resource
-            )
-        source = max(vms, key=pressure)
+        source = max(
+            self.topology.vms_on_pm(pm_id), key=lambda vm: self._upper_sum([vm], resource)
+        )
         target = self._placement_target(source)
         if target is None:
             events.append(("scale-out-skipped", pm_id, resource))
@@ -321,7 +315,7 @@ class Simulator:
     def _placement_target(self, source: VirtualMachine):
         """PM with the most headroom that can take a fresh clone of ``source``."""
         need = {}
-        for pid in self._vm_prims(source.id):
+        for pid in self._owned(SCOPE_VM, source.id):
             base = self.scenario.primitives.get(pid, self.prim_specs[pid])
             need[base.resource] = need.get(base.resource, 0) + base.upper_bound
         best, best_room = None, None
@@ -331,12 +325,7 @@ class Simulator:
             rooms = []
             ok = True
             for resource, amount in need.items():
-                used = sum(
-                    self.prim_specs[pid].upper_bound
-                    for vm in self.topology.vms_on_pm(pm.id)
-                    for pid in self._vm_prims(vm.id)
-                    if self.prim_specs[pid].resource == resource
-                )
+                used = self._upper_sum(self.topology.vms_on_pm(pm.id), resource)
                 capacity = pm.capacity.get(resource, 0.0)
                 if used + amount > capacity:
                     ok = False
@@ -350,40 +339,34 @@ class Simulator:
 
     def _apply_pending(self, events: list) -> None:
         ops, self._pending = self._pending, []
-        changed = False
         for op in ops:
             if op[0] == "scale-out":
                 _, source_id, target_pm = op
                 self._clone_vm(source_id, target_pm, events)
-                changed = True
             elif op[0] == "scale-in":
                 self._remove_vm(op[1], events)
-                changed = True
-        if changed:
+        if ops:
             self._models = {}
 
     def _clone_vm(self, source_id: str, target_pm: str, events: list) -> None:
         n = next(self._replica_seq)
-        source = self.topology.vm_by_id(source_id)
         new_vm = VirtualMachine(id=replica_id(source_id, n), pm=target_pm)
-        new_services = []
+        sources = self.topology.services_on_vm(source_id)
+        new_services = [
+            ServiceInstance(id=replica_id(svc.id, n), vm=new_vm.id, managed=False)
+            for svc in sources
+        ]
+        owners = [(SCOPE_VM, source_id, new_vm.id)] + [
+            (SCOPE_SERVICE, svc.id, replica.id) for svc, replica in zip(sources, new_services)
+        ]
         new_specs = {}
-        for pid in self._vm_prims(source_id):
-            template = self.scenario.primitives.get(pid, self.prim_specs[pid])
-            clone = dataclasses.replace(
-                template, id=primitive_id(new_vm.id, template.resource), owner=new_vm.id
-            )
-            new_specs[clone.id] = clone
-        for svc in self.topology.services_on_vm(source_id):
-            replica = ServiceInstance(id=replica_id(svc.id, n), vm=new_vm.id, managed=False)
-            new_services.append(replica)
-            for pid in self._service_prims(svc.id):
+        for scope, owner, clone_owner in owners:
+            for pid in self._owned(scope, owner):
                 template = self.scenario.primitives.get(pid, self.prim_specs[pid])
                 clone = dataclasses.replace(
-                    template, id=primitive_id(replica.id, template.resource), owner=replica.id
+                    template, id=primitive_id(clone_owner, template.resource), owner=clone_owner
                 )
                 new_specs[clone.id] = clone
-            self.groups[root_id(svc.id)].append(replica.id)
         self.topology = Topology(
             pms=self.topology.pms,
             vms=self.topology.vms + (new_vm,),
@@ -399,13 +382,7 @@ class Simulator:
             self.topology.vm_by_id(vm_id)
         except KeyError:
             return
-        doomed_services = [svc.id for svc in self.topology.services_on_vm(vm_id)]
-        doomed_prims = set(self._vm_prims(vm_id))
-        for sid in doomed_services:
-            doomed_prims.update(self._service_prims(sid))
-            root = root_id(sid)
-            if root in self.groups and sid in self.groups[root]:
-                self.groups[root].remove(sid)
+        doomed_prims = self._hosted(vm_id)
         self.topology = Topology(
             pms=self.topology.pms,
             vms=tuple(vm for vm in self.topology.vms if vm.id != vm_id),

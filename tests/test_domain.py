@@ -58,6 +58,8 @@ def test_snap_rounds_to_nearest_grid_point():
     assert spec.snap(28.0) == 30
     assert spec.snap(3.0) == 15      # clamped to the lower bound
     assert spec.snap(99.0) == 40     # clamped to the upper bound
+    assert spec.phase(3.0) == 5      # phase alone does not clamp
+    assert spec.phase(99.0) == 100
 
 
 def test_snap_lands_on_grid_for_arbitrary_inputs():

@@ -254,6 +254,20 @@ def test_cli_gen_trace_round_trips(tmp_path):
     assert all(len(v) == 8 for v in trace.values())
 
 
+def test_cli_gen_trace_writes_the_trace_run_synthesizes(smoke_scenario, tmp_path):
+    path = tmp_path / "trace.csv"
+    assert cli.main([
+        "gen-trace", "--scenario", str(SMOKE_PATH),
+        "--intervals", "8", "--seed", "1", "--out", str(path),
+    ]) == 0
+    plan = ExperimentPlan(name="smoke", scenario=smoke_scenario, intervals=8, seed=1)
+    want = {
+        sid: [float(format(v, ".6g")) for v in series]
+        for sid, series in resolve_trace(plan).items()
+    }
+    assert load_trace_csv(path) == want
+
+
 def test_cli_run_end_to_end_with_supplied_trace(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     cli.main([
@@ -317,7 +331,7 @@ def test_cli_thread_count_reads_environment(tmp_path, monkeypatch, capsys):
     ("rho", 0.0), ("rho", 1.0), ("rho", 1.5), ("rho", -0.1),
     ("floor_ratio", 0.0), ("floor_ratio", 2.0), ("alpha", -1.0), ("beta", -0.5),
     ("max_ant", 0), ("max_iteration", -2), ("max_run", 2.5), ("max_ant", True),
-    ("alpha", "4"),
+    ("alpha", "4"), ("time_budget_s", 5.0),
 ])
 def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     doc = smoke_doc()
@@ -335,15 +349,18 @@ def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path):
-    doc = smoke_doc()
-    doc["algorithms"]["moga"]["population"] = 7
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code = cli.main([
-        "run", "--scenario", str(path), "--approaches", "rule",
-        "--intervals", "4", "--warmup", "1", "--runs", "1",
-        "--out", str(tmp_path / "out"), "--quiet",
-    ])
-    assert code == 2
-    assert not (tmp_path / "out").exists()
+def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path, capsys):
+    for setting, value in (("population", 7), ("time_budget_s", 5.0)):
+        doc = smoke_doc()
+        doc["algorithms"]["moga"][setting] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([
+            "run", "--scenario", str(path), "--approaches", "rule",
+            "--intervals", "4", "--warmup", "1", "--runs", "1",
+            "--out", str(tmp_path / "out"), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: moga: ") and setting in err
+        assert not (tmp_path / "out").exists()

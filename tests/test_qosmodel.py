@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antscale.domain import ConfigError, Decision, is_replica, scenario_from_dict
-from antscale.qosmodel import DemandModel, ModelParams, RegionModel, _sigmoid, utilization
+from antscale.qosmodel import ModelParams, RegionModel, _sigmoid, demand, utilization
 from antscale.simulator import EnvironmentState, Simulator
 from conftest import smoke_doc, triple_doc
 
@@ -184,21 +184,19 @@ def test_violation_counts_respect_direction(triple_scenario):
 
 def test_demand_proxies(smoke_scenario):
     params = ModelParams.from_dict({})
-    demand = DemandModel(params)
     topo = smoke_scenario.topology
     wl = {"s1": 100.0, "s2": 50.0}
-    assert demand.demand(smoke_scenario.primitives["v1.cpu"], topo, wl) == pytest.approx(18.0)
-    assert demand.demand(smoke_scenario.primitives["v1.memory"], topo, wl) == pytest.approx(202.5)
-    assert demand.demand(smoke_scenario.primitives["s1.thread"], topo, wl) == pytest.approx(3.0)
+    prims = smoke_scenario.primitives
+    assert demand(params, prims["v1.cpu"], topo, wl) == pytest.approx(18.0)
+    assert demand(params, prims["v1.memory"], topo, wl) == pytest.approx(202.5)
+    assert demand(params, prims["s1.thread"], topo, wl) == pytest.approx(3.0)
 
 
 def test_utilization_saturates_at_one(smoke_scenario):
     params = ModelParams.from_dict({})
-    demand = DemandModel(params)
     topo = smoke_scenario.topology
     wl = {"s1": 100.0, "s2": 50.0}
-    spec = smoke_scenario.primitives["v1.cpu"]
-    d = demand.demand(spec, topo, wl)
+    d = demand(params, smoke_scenario.primitives["v1.cpu"], topo, wl)
     assert utilization(d, 20.0) == pytest.approx(0.9)
     assert utilization(d, 10.0) == 1.0
     assert utilization(d, 0.0) == 1.0

@@ -1,13 +1,12 @@
 """Interval stepping, bound adaptation, triggers, and horizontal scaling."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antscale.domain import ControlPrimitiveSpec, Decision, is_replica, scenario_from_dict
+from antscale import experiment
+from antscale.domain import ControlPrimitiveSpec, Decision, is_replica, root_id, scenario_from_dict
 from antscale.simulator import (
     TRIGGER_LOW_UTIL,
     TRIGGER_SLA,
@@ -212,10 +211,10 @@ def test_scale_out_clones_vm_onto_free_machine():
     assert "v1~r1" in vm_ids
     assert sim.topology.vm_by_id("v1~r1").pm == "pm2"
     assert any(e for e in result.events if "v1~r1" in e)
-    # replica services join the workload groups and split the trace evenly
-    assert sim.groups["s1"] == ["s1", "s1~r1"]
+    # the replica service joins its root's group and splits the trace evenly
+    assert [s.id for s in sim.topology.services if root_id(s.id) == "s1"] == ["s1", "s1~r1"]
     wl = result.env.workloads
-    assert wl["s1"] + wl["s1~r1"] == pytest.approx(200.0)
+    assert wl["s1"] == wl["s1~r1"] == 100.0
     # replica starts from the template's initial values
     assert sim.config["v1~r1.cpu"] == scenario.primitives["v1.cpu"].initial
 
@@ -243,7 +242,8 @@ def test_scale_in_reclaims_idle_replica():
     sim.step()                      # queues the removal
     result = sim.step()
     assert "v1~r1" not in {vm.id for vm in sim.topology.vms}
-    assert sim.groups["s1"] == ["s1"]
+    assert [s.id for s in sim.topology.services] == ["s1", "s2"]
+    assert result.env.workloads == {"s1": 1.0, "s2": 1.0}
     assert any("v1~r1" in e for e in result.events)
 
 
@@ -258,14 +258,57 @@ def test_clone_then_reclaim_restores_the_pre_scale_out_state(seed, busy, quiet):
     trace = {s: [busy, busy, quiet, quiet] for s in ("s1", "s2")}
     sim = Simulator(scenario, trace, seed=seed)
     sim.step()                      # fires the capacity trigger
-    before = (set(sim.prim_specs), set(sim.config), sim.topology,
-              copy.deepcopy(sim.groups))
+    before = (set(sim.prim_specs), set(sim.config), sim.topology)
     sim.step()                      # clone applied
     replica_pids = [pid for pid in sim.prim_specs if is_replica(pid)]
     assert replica_pids
     # pin the replica to its floors; the quiet interval then retires it
     floors = Decision({pid: sim.prim_specs[pid].lower_bound for pid in replica_pids})
     sim.step(floors)                # queues the removal
-    sim.step()                      # removal applied
-    after = (set(sim.prim_specs), set(sim.config), sim.topology, sim.groups)
+    last = sim.step()               # removal applied
+    after = (set(sim.prim_specs), set(sim.config), sim.topology)
     assert after == before
+    # each root carries its whole trace value again
+    assert last.env.workloads == {"s1": quiet, "s2": quiet}
+
+
+def test_a_plan_scales_out_then_reclaims_the_replica(monkeypatch):
+    # throughput cannot exceed the offered load, so at smoke's thresholds of
+    # 100 every quiet interval breaches and this plan keeps its replica
+    doc = overloaded_doc()
+    for objective in doc["objectives"]:
+        if objective["kind"] == "throughput":
+            objective["threshold"] = 1.0
+    scenario = scenario_from_dict(doc)
+    intervals = 18
+    trace = {s: [200.0] * 3 + [2.0] * (intervals - 3) for s in ("s1", "s2")}
+    plan = experiment.ExperimentPlan(
+        name="scale-in", scenario=scenario, trace=trace, approaches=("moaco-cd",),
+        intervals=intervals, runs=1, seed=3, quiet=True,
+    )
+    steps = []     # (decision applied, events, primitive ids afterwards)
+    step = Simulator.step
+
+    def recording_step(sim, decision=None):
+        result = step(sim, decision)
+        steps.append((decision, result.events, set(sim.prim_specs)))
+        return result
+
+    monkeypatch.setattr(Simulator, "step", recording_step)
+    experiment.run_single(scenario, trace, "moaco-cd", 0, plan)
+    assert len(steps) == intervals
+
+    kinds = [event[0] for _, events, _ in steps for event in events]
+    assert "scale-out" in kinds and "scale-in" in kinds
+    assert kinds.index("scale-out") < kinds.index("scale-in")
+    reclaimed = next(
+        t for t, (_, events, _) in enumerate(steps) if ("scale-in", "v1~r1") in events
+    )
+    # the decision applied with the reclaim was made while the replica lived
+    decision, _, live = steps[reclaimed]
+    assert {"v1~r1.cpu", "s1~r1.thread"} <= set(decision.assignments)
+    assert not any(is_replica(pid) for pid in live)
+    static = set(scenario.region_by_id("r1").primitive_ids)
+    for decision, _, _ in steps[reclaimed + 1:]:
+        assert decision is None or set(decision.assignments) == static
+    assert any(decision is not None for decision, _, _ in steps[reclaimed + 1:])
