@@ -13,9 +13,14 @@ The grids are held as one zero-padded ``(n_prims, G_max)`` value table with a
 heuristic one ``(n_prims, G_max)`` table over the same slots. Ants draw grid
 indices, and the mask gives every padded slot zero selection weight.
 
-Construction is batched across the ants of an iteration; an ant retries until
-it finds a decision predicted to satisfy every requirement or its retry
-budget runs out, in which case its best attempt for its own objective stands.
+An ant retries until it finds a decision predicted to satisfy every
+requirement or its retry budget runs out, in which case its best attempt for
+its own objective stands. Most ants use every retry, so construction is
+speculative: the still-open ants' next rounds are drawn and evaluated in
+blocks of about ``BLOCK_ROWS`` rows, one model call per block, and the rounds
+are then settled in order. A round in which some ant closes ends the block;
+the random draws of the rounds after it are given back, so the colony makes
+the same draws, and the same decisions, as it would round by round.
 """
 
 import math
@@ -29,6 +34,11 @@ from .domain import ConfigError
 from .dominance import DecisionArchive
 
 EPS = 1e-9
+# model rows per speculative block of construction rounds (see optimize)
+BLOCK_ROWS = 900
+# buckets per grid of the sampler's guide table; a power of two, so that
+# scaling a uniform or a cdf value by it is exact
+GUIDE_BUCKETS = 64
 
 
 def _is_real(value) -> bool:
@@ -128,6 +138,83 @@ def selection_cdfs(trails: np.ndarray, heuristic: np.ndarray, valid: np.ndarray,
     return cdf
 
 
+class GuideSampler:
+    """Draws grid indices from selection cdfs through a bucket guide table.
+
+    :meth:`draw` returns ``(cdf[objs] >= u[..., None]).argmax(axis=-1)``
+    without building that ``(..., n_prims, G_max)`` comparison. Bucket ``b``
+    of a grid covers ``[b/B, (b+1)/B)``, and the table holds per grid
+    ``lo[b]`` for ``b = 0..B``, the number of the grid's cdf points below
+    ``b/B``. A uniform ``u`` in bucket ``b`` selects an index in
+    ``[lo[b], lo[b+1]]``: every point before ``lo[b]`` lies below ``u`` and
+    point ``lo[b+1]`` does not. Only a draw whose bucket holds cdf points
+    compares ``u`` with them, one point per pass. Scaling by ``B``, a power
+    of two, is exact, so every step is an exact comparison and the draws
+    equal the comparison's bit for bit.
+
+    That needs a cdf that does not decrease and ends at 1.0, as
+    :func:`selection_cdfs` gives for finite weights. A grid whose cdf is not
+    so (NaN from overflowing or vanishing weights) gets the span
+    ``[0, G_max]`` for every draw, so its draws compare ``u`` with every
+    point in turn; a draw that passes them all gets index 0, as ``argmax``
+    of an all-false row.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        m, n_prims, slots = cdf.shape
+        buckets = GUIDE_BUCKETS
+        regular = (
+            (cdf[:, :, -1] == 1.0) & (np.diff(cdf, axis=2) >= 0.0).all(axis=2)
+            & (cdf[:, :, 0] >= 0.0)
+        )
+        grid = np.arange(m * n_prims).reshape(m, n_prims)
+        # floor(cdf * B) lies in [0, B], and a point at 1.0 sits past every
+        # bucket; counting each point one place up, a running sum over places
+        # 0..B gives lo
+        point_bucket = (np.where(regular[:, :, None], cdf, 0.0) * buckets).astype(np.intp)
+        counts = np.bincount(
+            (grid[:, :, None] * (buckets + 2) + point_bucket + 1).ravel(),
+            minlength=grid.size * (buckets + 2),
+        ).reshape(m, n_prims, buckets + 2)
+        self._lo = counts[:, :, :-1].cumsum(axis=2, dtype=np.min_scalar_type(slots)).ravel()
+        self._cdf = np.ascontiguousarray(cdf).ravel()
+        self._slots = slots
+        self._table_base = grid * (buckets + 1)
+        self._irregular = None if regular.all() else ~regular
+
+    def draw(self, u: np.ndarray, objs: np.ndarray) -> np.ndarray:
+        """Grid indices for uniforms ``u`` of shape ``(..., n_ants, n_prims)``.
+
+        Ant ``a`` draws from objective ``objs[a]``'s distributions.
+        """
+        key = self._table_base[objs] + (u * GUIDE_BUCKETS).astype(np.intp)
+        lo = self._lo[key]
+        hi = self._lo[key + 1]
+        if self._irregular is not None:
+            irregular = self._irregular[objs]
+            lo = np.where(irregular, 0, lo)
+            hi = np.where(irregular, self._slots, hi)
+        idx = lo.astype(np.intp)
+        pos = np.flatnonzero(lo != hi)
+        if pos.size:
+            flat = idx.reshape(-1)
+            j = flat[pos]
+            hi = hi.reshape(-1)[pos]
+            # key // (B + 1) is the draw's grid, whose cdf starts at grid * slots
+            base = key.reshape(-1)[pos] // (GUIDE_BUCKETS + 1) * self._slots
+            target = u.reshape(-1)[pos]
+            while pos.size:
+                # ``not >=`` rather than ``<``: a NaN point is passed over
+                passed = ~(self._cdf[base + j] >= target)
+                j += passed
+                flat[pos] = j
+                more = passed & (j < hi)
+                pos, j, hi, base, target = pos[more], j[more], hi[more], base[more], target[more]
+        if self._irregular is not None:
+            idx[idx == self._slots] = 0
+        return idx
+
+
 def deposit(trails: np.ndarray, objective: int, best_indices, h_best: float,
             h_global: float, maximize: bool, rho: float) -> float:
     """Evaporate one objective's trails and reward the iteration-best decision.
@@ -172,6 +259,8 @@ class OptimizeStats:
     update_seconds: float = 0.0
     iterations: int = 0
     constructions: int = 0
+    model_calls: int = 0          # predict_matrix calls, the heuristic's included
+    rows_evaluated: int = 0       # their rows, discarded speculative rounds included
     trails: np.ndarray | None = None       # (m, n_prims, G_max)
     tau_min: np.ndarray | None = None      # per-objective trail floor
     tau_max: np.ndarray | None = None      # per-objective trail ceiling
@@ -185,11 +274,18 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     """Run the full colony and return every identified decision.
 
     Ants are assigned objectives round-robin within each iteration, so with
-    ``max_ant >= m`` every objective is optimized every iteration. Retries are
-    batched per round across all still-unsatisfied ants to keep model calls
-    vectorized. The wall-clock budget is checked between rounds; on expiry
-    the archive accumulated so far is returned (never empty, since the first
-    round of the first iteration always completes).
+    ``max_ant >= m`` every objective is optimized every iteration. Retries
+    run in rounds over the still-unsatisfied ants, and the rounds in blocks:
+    with ``n`` ants open, one model call evaluates the next
+    ``max(1, BLOCK_ROWS // n)`` rounds, at most the retries left and at most
+    twice the rounds the iteration's previous block settled. The rounds are
+    settled in order up to and including the first in which an ant closes;
+    the generator is then rewound and re-drawn for exactly the rounds
+    settled, so the draws, the archive and the final generator state are
+    those of a round-by-round construction. The wall-clock budget is
+    checked between blocks; on expiry the archive accumulated so far is
+    returned (never empty, since the first block of the first iteration
+    always completes).
     """
     start = time.perf_counter()
     m = len(model.objective_ids)
@@ -206,6 +302,9 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
 
     heuristic = compute_heuristics(model, env, current_row, values, valid)
     t_heur = time.perf_counter() - start
+    # compute_heuristics' two calls: one row per grid value, then the live row
+    model_calls = 2
+    rows_evaluated = int(valid.sum()) + 1
 
     trails = np.ones((m,) + valid.shape)
     tau_max = np.ones(m)
@@ -224,7 +323,7 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         if out_of_time:
             break
         t0 = time.perf_counter()
-        cdf = selection_cdfs(trails, heuristic, valid, cfg)
+        sampler = GuideSampler(selection_cdfs(trails, heuristic, valid, cfg))
 
         # each ant keeps its first satisfying draw, else its best for its objective
         kept_idx = np.zeros((n_ant, n_prims), dtype=int)
@@ -234,28 +333,45 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         kept = np.zeros(n_ant, dtype=bool)
         done = np.zeros(n_ant, dtype=bool)
 
-        for _round in range(cfg.max_run):
+        rounds_left = cfg.max_run
+        reach = cfg.max_run
+        while rounds_left and not done.all():
             open_ants = np.flatnonzero(~done)
-            if open_ants.size == 0:
-                break
-            u = rng.random((open_ants.size, n_prims))
+            n_open = open_ants.size
+            n_rounds = min(rounds_left, reach, max(1, BLOCK_ROWS // n_open))
+            rewind = rng.bit_generator.state if n_rounds > 1 else None
+            u = rng.random((n_rounds, n_open, n_prims))
             objs = ant_obj[open_ants]
-            idx = (cdf[objs] >= u[:, :, None]).argmax(axis=2)
-            vecs = model.predict_matrix(values[prims, idx], env)
-            viols = model.violation_counts(vecs)
-            constructions += open_ants.size
-            h = vecs[np.arange(open_ants.size), objs] * signs[objs]
-            # each open ant appears once per round, so masked writes match
-            # settling the ants one by one
-            ok = viols == 0
-            better = ok | ~kept[open_ants] | (h > kept_h[open_ants])
-            improved = open_ants[better]
-            kept_idx[improved] = idx[better]
-            kept_vecs[improved] = vecs[better]
-            kept_viol[improved] = viols[better]
-            kept_h[improved] = h[better]
-            kept[improved] = True
-            done[open_ants[ok]] = True
+            block_idx = sampler.draw(u, objs)
+            block_vecs = model.predict_matrix(values[prims, block_idx], env)
+            block_viols = model.violation_counts(block_vecs)
+            block_h = block_vecs[:, np.arange(n_open), objs] * signs[objs]
+            model_calls += 1
+            rows_evaluated += n_rounds * n_open
+            closing = (block_viols == 0).any(axis=1)
+            used = int(closing.argmax()) + 1 if closing.any() else n_rounds
+            for idx, vecs, viols, h in zip(block_idx[:used], block_vecs[:used],
+                                           block_viols[:used], block_h[:used]):
+                # each open ant appears once per round, so masked writes match
+                # settling the ants one by one
+                ok = viols == 0
+                better = ok | ~kept[open_ants] | (h > kept_h[open_ants])
+                improved = open_ants[better]
+                kept_idx[improved] = idx[better]
+                kept_vecs[improved] = vecs[better]
+                kept_viol[improved] = viols[better]
+                kept_h[improved] = h[better]
+                kept[improved] = True
+                done[open_ants[ok]] = True
+            constructions += used * n_open
+            # closings come in runs, so a block that closed early shortens
+            # the next, and one that did not lets the next grow
+            reach = 2 * used
+            rounds_left -= used
+            if used < n_rounds:
+                # give back the draws of the rounds after the closing one
+                rng.bit_generator.state = rewind
+                rng.random((used, n_open, n_prims))
             if deadline is not None and time.perf_counter() > deadline:
                 out_of_time = True
                 break
@@ -292,6 +408,8 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         stats.update_seconds = t_update
         stats.iterations = iterations
         stats.constructions = constructions
+        stats.model_calls = model_calls
+        stats.rows_evaluated = rows_evaluated
         stats.trails = trails
         stats.tau_min = tau_min
         stats.tau_max = tau_max

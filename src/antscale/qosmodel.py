@@ -9,11 +9,13 @@ applied only when sampling what the environment "measured".
 
 Evaluation is batched: candidate decisions are rows of an integer matrix and
 all of a region's objectives are produced in one numpy pass, which is what
-keeps thousands of constructions per decision affordable. The colony calls
-the model hundreds of times per decision with about a hundred rows each, so
-the fixed cost of a call matters as much as its cost per row: how objectives
-are read off the per-service results is planned once per model as index
-arrays, and a call runs a fixed, short sequence of array operations.
+keeps thousands of constructions per decision affordable. The fixed cost of
+a call matters as much as its cost per row: how objectives are read off the
+per-service results is planned once per model as index arrays, and a call
+runs a fixed, short sequence of array operations. Batches may also be
+stacked, ``(..., k, n_primitives)``: the colony evaluates several rounds of
+its ants in one call, and each ``(k, n_primitives)`` slice gets the bits a
+call of its own would give.
 """
 
 from dataclasses import dataclass
@@ -112,6 +114,12 @@ class RegionModel:
     member, its workload share is exactly 1.0 and the mean or sum of one
     value is that value, and replica groups keep the per-objective products
     and reductions.
+
+    Every step is row by row except the matrix-vector products (replica
+    group weights and cost prices), whose summation order can follow the
+    number of rows. A stacked call therefore runs them once per ``(k, ...)``
+    slice, so each slice keeps the bits of a 2-D call on that slice alone;
+    the remaining steps run on all rows at once.
     """
 
     def __init__(self, scenario: Scenario, region: Region, topology: Topology,
@@ -277,15 +285,19 @@ class RegionModel:
         """Objective matrix for candidate decisions.
 
         Args:
-            values: integer array of shape (k, len(region.primitive_ids)),
-                column order following the region's primitive order.
+            values: integer array of shape (..., k, len(region.primitive_ids)),
+                column order following the region's primitive order; a 1-D
+                row is taken as one batch of one row.
             env: environment snapshot supplying workloads and the values of
                 every primitive outside the region.
 
         Returns:
-            float array of shape (k, len(region.objective_ids)).
+            float array of shape (..., k, len(region.objective_ids)), each
+            (k, m) slice bit for bit what a call on that slice alone returns.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
+        lead = values.shape[:-1]
+        values = values.reshape(-1, values.shape[-1])
         k = values.shape[0]
         p = self.params
         full = self._full_config(values, env)
@@ -341,12 +353,19 @@ class RegionModel:
             stacked = group[mean_planes]
             w = wl[members]
             total = w.sum()
-            means = stacked.mean(axis=2) if total <= 0.0 else stacked @ (w / total)
+            if total <= 0.0:
+                means = stacked.mean(axis=2)
+            else:
+                # one matrix-vector product per slice, as for the costs below
+                per_slice = stacked.reshape(mean_planes.shape + lead + members.shape)
+                means = (per_slice @ (w / total)).reshape(mean_planes.size, k)
             out[:, mean_js] = means.T
-        columns = full[:, :-1]
+        # one gemv per (k, n) slice, so each slice keeps the bits its own
+        # 2-D call gives: a gemv's summation order can follow its row count
+        columns = full.reshape(lead + (full.shape[1],))[..., :-1]
         for j, prices in self._cost_plans:
-            out[:, j] = columns @ prices
-        return out
+            out[:, j] = (columns @ prices).ravel()
+        return out.reshape(lead + (out.shape[1],))
 
     # -- convenience forms -------------------------------------------------
 
@@ -378,9 +397,12 @@ class RegionModel:
         return noisy
 
     def violation_counts(self, vectors: np.ndarray) -> np.ndarray:
-        """Number of breached requirements per row, meeting exactly is a pass."""
+        """Breached requirements per row of ``(..., m)`` objective vectors.
+
+        Meeting a threshold exactly is a pass.
+        """
         vectors = np.atleast_2d(vectors)
-        return ((vectors < self._lower) | (vectors > self._upper)).sum(axis=1)
+        return ((vectors < self._lower) | (vectors > self._upper)).sum(axis=-1)
 
 
 def demand(params: ModelParams, spec, topology: Topology, workloads: dict):

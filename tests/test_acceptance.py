@@ -372,17 +372,18 @@ class _FlatModel:
         self.rows = 0     # rows evaluated so far
 
     def predict_matrix(self, rows, env):
+        # (..., P) rows as RegionModel takes them
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        self.rows += rows.shape[0]
-        cols = [rows.sum(axis=1) + 1.0, (rows ** 2).sum(axis=1) + 1.0]
-        return np.stack(cols[: len(self.objective_ids)], axis=1)
+        self.rows += rows.size // rows.shape[-1]
+        cols = [rows.sum(axis=-1) + 1.0, (rows ** 2).sum(axis=-1) + 1.0]
+        return np.stack(cols[: len(self.objective_ids)], axis=-1)
 
     def violation_counts(self, vectors):
         vectors = np.atleast_2d(vectors)
         if self._thresholds is None:
-            return np.zeros(vectors.shape[0], dtype=int)
-        gaps = (vectors - self._thresholds) * self.direction_signs[None, :]
-        return (gaps < 0).sum(axis=1)
+            return np.zeros(vectors.shape[:-1], dtype=int)
+        gaps = (vectors - self._thresholds) * self.direction_signs
+        return (gaps < 0).sum(axis=-1)
 
 
 def _best_slopes(ladder, seconds, repeats=5):

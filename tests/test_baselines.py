@@ -32,10 +32,13 @@ class MappedModel:
         self._fn = fn
 
     def predict_matrix(self, rows, env):
-        return self._fn(np.atleast_2d(np.asarray(rows, dtype=float)))
+        # (..., P) rows as RegionModel takes them: fn maps 2-D batches
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        out = self._fn(rows.reshape(-1, rows.shape[-1]))
+        return out.reshape(rows.shape[:-1] + out.shape[-1:])
 
     def violation_counts(self, vectors):
-        return np.zeros(np.atleast_2d(vectors).shape[0], dtype=int)
+        return np.zeros(np.atleast_2d(vectors).shape[:-1], dtype=int)
 
 
 def stub_runtime(grids, current, fn, directions):

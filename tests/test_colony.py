@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antscale.colony import (
+    BLOCK_ROWS,
+    GUIDE_BUCKETS,
+    GuideSampler,
     MoacoConfig,
     OptimizeStats,
     clamp,
@@ -36,14 +39,17 @@ class MappedModel:
         )
 
     def predict_matrix(self, rows, env):
-        return self._fn(np.atleast_2d(np.asarray(rows, dtype=float)))
+        # (..., P) rows as RegionModel takes them: fn maps 2-D batches
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        out = self._fn(rows.reshape(-1, rows.shape[-1]))
+        return out.reshape(rows.shape[:-1] + out.shape[-1:])
 
     def violation_counts(self, vectors):
         vectors = np.atleast_2d(vectors)
         if self._thresholds is None:
-            return np.zeros(vectors.shape[0], dtype=int)
-        gaps = (vectors - self._thresholds[None, :]) * self.direction_signs[None, :]
-        return (gaps < 0).sum(axis=1)
+            return np.zeros(vectors.shape[:-1], dtype=int)
+        gaps = (vectors - self._thresholds) * self.direction_signs
+        return (gaps < 0).sum(axis=-1)
 
 
 class RecordingModel(MappedModel):
@@ -58,10 +64,14 @@ class RecordingModel(MappedModel):
         return super().predict_matrix(rows, env)
 
     def constructed_rows(self, grids):
-        """Rows sampled by ants: every batch after the heuristic's two calls."""
+        """Rows sampled by ants: every batch after the heuristic's two calls.
+
+        Blocks of rounds are flattened, and rounds drawn after an ant closed
+        in the block, which the colony discards, are included.
+        """
         assert self.calls[0].shape[0] == sum(len(g) for g in grids)
         assert self.calls[1].shape[0] == 1
-        return np.vstack(self.calls[2:])
+        return np.vstack([c.reshape(-1, c.shape[-1]) for c in self.calls[2:]])
 
 
 def table_model(table, directions, pids=("p0",), thresholds=None):
@@ -478,10 +488,219 @@ def test_unequal_grids_never_draw_padding(sizes, alpha, beta, feasible, seed):
     archive = optimize(model, None, np.array([g[0] for g in grids]), grids, cfg,
                        np.random.default_rng(seed), stats=stats)
     drawn = model.constructed_rows(grids)
-    assert drawn.shape[0] == stats.constructions
+    assert stats.constructions <= drawn.shape[0]
+    assert stats.rows_evaluated == drawn.shape[0] + sum(sizes) + 1
+    assert stats.model_calls == len(model.calls)
     for a, grid in enumerate(grids):
         assert np.isin(drawn[:, a], grid).all()
         assert np.isin(archive.rows[:, a], grid).all()
     cdf = selection_cdfs(stats.trails, stats.heuristic, stats.valid, cfg)
     for a, size in enumerate(sizes):
         assert (np.abs(cdf[:, a, size - 1:] - 1.0) <= 1e-12).all()
+
+
+# -- oracle: round-by-round construction ------------------------------------
+
+
+def reference_optimize(model, env, current_row, grids, cfg, rng):
+    """The colony with one model call per round and the comparison draw.
+
+    This is how :func:`optimize` built ants before it drew and evaluated
+    rounds in speculative blocks (no deadline). Returns the archive, the
+    number of constructions and the final trails.
+    """
+    m = len(model.objective_ids)
+    signs = model.direction_signs
+    values, valid = grid_table(grids)
+    n_prims = values.shape[0]
+    prims = np.arange(n_prims)
+    n_ant = cfg.max_ant
+    ant_obj = np.arange(n_ant) % m
+    heuristic = compute_heuristics(model, env, current_row, values, valid)
+    trails = np.ones((m,) + valid.shape)
+    tau_max = np.ones(m)
+    tau_min = np.full(m, cfg.floor_ratio)
+    found = []
+    global_h = np.full(m, np.nan)
+    have_global = np.zeros(m, dtype=bool)
+    constructions = 0
+    for _ in range(cfg.max_iteration):
+        cdf = selection_cdfs(trails, heuristic, valid, cfg)
+        kept_idx = np.zeros((n_ant, n_prims), dtype=int)
+        kept_vecs = np.zeros((n_ant, m))
+        kept_viol = np.zeros(n_ant, dtype=int)
+        kept_h = np.full(n_ant, -np.inf)
+        kept = np.zeros(n_ant, dtype=bool)
+        done = np.zeros(n_ant, dtype=bool)
+        for _round in range(cfg.max_run):
+            open_ants = np.flatnonzero(~done)
+            if open_ants.size == 0:
+                break
+            u = rng.random((open_ants.size, n_prims))
+            objs = ant_obj[open_ants]
+            idx = (cdf[objs] >= u[:, :, None]).argmax(axis=2)
+            vecs = model.predict_matrix(values[prims, idx], env)
+            viols = model.violation_counts(vecs)
+            constructions += open_ants.size
+            h = vecs[np.arange(open_ants.size), objs] * signs[objs]
+            ok = viols == 0
+            better = ok | ~kept[open_ants] | (h > kept_h[open_ants])
+            improved = open_ants[better]
+            kept_idx[improved] = idx[better]
+            kept_vecs[improved] = vecs[better]
+            kept_viol[improved] = viols[better]
+            kept_h[improved] = h[better]
+            kept[improved] = True
+            done[open_ants[ok]] = True
+        found.append((kept_idx[kept], kept_vecs[kept], kept_viol[kept]))
+        signed_h = np.where(kept, kept_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj], -np.inf)
+        for o in range(m):
+            members = np.flatnonzero((ant_obj == o) & kept)
+            if members.size == 0:
+                continue
+            leader = members[int(np.argmax(signed_h[members]))]
+            h_iter = float(kept_vecs[leader, o])
+            if not have_global[o] or signs[o] * (h_iter - global_h[o]) > 0:
+                global_h[o] = h_iter
+                have_global[o] = True
+            maximize = signs[o] > 0
+            tau_min[o], tau_max[o] = trail_bounds(h_iter, maximize, cfg.rho, cfg.floor_ratio)
+            deposit(trails, o, kept_idx[leader], h_iter, float(global_h[o]), maximize, cfg.rho)
+        clamp(trails, tau_min, tau_max)
+    indices, vectors, violations = (np.concatenate(part) for part in zip(*found))
+    archive = DecisionArchive(model.region_pids, values[prims, indices], vectors, violations)
+    return archive, constructions, trails
+
+
+def hashed_model(n_prims, closing, nan_share):
+    """Three objectives that scatter pseudo-randomly over the rows.
+
+    About ``closing`` of all rows meet every requirement, and about
+    ``nan_share`` of them predict NaN for the first objective.
+    """
+    weights = np.array([12.9898, 78.233, 37.719, 4.581])[:n_prims]
+
+    def fn(rows):
+        # a row-wise sum, not a matrix product, whose bits follow the row count
+        mixed = (rows * weights).sum(axis=1)
+
+        def frac(shift):
+            return np.modf(np.abs(np.sin(mixed + shift)) * 43758.5453)[0]
+        first = np.where(frac(3.0) < nan_share, np.nan, 10.0 * frac(0.0))
+        return np.stack([first, 5.0 * frac(1.0), frac(2.0)], axis=1)
+
+    return MappedModel(fn, ("min", "max", "min"), pids=[f"p{a}" for a in range(n_prims)],
+                       thresholds=(np.inf, -np.inf, closing))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    max_ant=st.one_of(st.integers(1, 300),
+                      st.sampled_from((BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 37))),
+    max_run=st.integers(1, 12),
+    max_iteration=st.integers(1, 3),
+    closing=st.sampled_from((0.0, 0.001, 0.01, 0.1, 1.0)),
+    nan_share=st.sampled_from((0.0, 0.0, 0.05)),
+)
+def test_block_construction_matches_round_by_round(
+        seed, sizes, max_ant, max_run, max_iteration, closing, nan_share):
+    # rounds close at varied points of a block: none, some or every ant
+    # closes, on grids of one value too; NaN objectives turn trails NaN
+    grids = [10.0 * a + np.arange(1.0, g + 1.0) for a, g in enumerate(sizes)]
+    model = hashed_model(len(grids), closing, nan_share)
+    current = np.array([g[0] for g in grids])
+    cfg = moaco_cfg(max_ant=max_ant, max_run=max_run, max_iteration=max_iteration)
+    rng = np.random.default_rng(seed)
+    stats = OptimizeStats()
+    archive = optimize(model, None, current, grids, cfg, rng, stats=stats)
+    oracle_rng = np.random.default_rng(seed)
+    expected, constructions, trails = reference_optimize(
+        model, None, current, grids, cfg, oracle_rng)
+    assert np.array_equal(archive.rows, expected.rows)
+    assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
+    assert np.array_equal(archive.violations, expected.violations)
+    assert stats.constructions == constructions
+    assert np.array_equal(bits(stats.trails), bits(trails))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_block_construction_matches_round_by_round_on_a_live_region():
+    # at this workload some ants meet both requirements within their retries
+    runtime = toy_runtime(136.0)
+    cfg = moaco_cfg(max_ant=40, max_run=30, max_iteration=3)
+    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+    stats = OptimizeStats()
+    archive = optimize(runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng,
+                       stats=stats)
+    expected, constructions, trails = reference_optimize(
+        runtime.model, runtime.env, runtime.current, runtime.grids, cfg, oracle_rng)
+    assert (archive.violations == 0).any() and (archive.violations > 0).any()
+    assert np.array_equal(archive.rows, expected.rows)
+    assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
+    assert stats.constructions == constructions
+    assert stats.rows_evaluated > constructions     # some speculative rounds were discarded
+    assert np.array_equal(bits(stats.trails), bits(trails))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# -- guide-table sampler ----------------------------------------------------
+
+
+def cdf_row(draw, slots):
+    """A non-decreasing cdf row ending at 1.0, its points often on bucket edges."""
+    buckets = GUIDE_BUCKETS
+    edge = st.integers(0, buckets).map(lambda b: b / buckets)
+    cluster = draw(st.integers(0, buckets - 1))
+    inside = st.floats(0.0, 1.0, exclude_max=True).map(lambda f: (cluster + f) / buckets)
+    point = st.one_of(edge, inside, st.floats(0.0, 1.0))
+    points = sorted(draw(st.lists(point, min_size=slots - 1, max_size=slots - 1)))
+    return points + [1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_guide_sampler_matches_the_comparison_argmax(data):
+    draw = data.draw
+    m, n_prims, slots = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    cdf = np.empty((m, n_prims, slots))
+    for o in range(m):
+        for p in range(n_prims):
+            kind = draw(st.sampled_from(("regular", "regular", "regular", "nan", "overflow")))
+            if kind == "regular":
+                cdf[o, p] = cdf_row(draw, slots)
+            elif kind == "nan":                      # all weights vanished: 0 / 0
+                cdf[o, p] = np.nan
+            else:                                    # an infinite weight: x / inf, inf / inf
+                finite = draw(st.integers(0, slots - 1))
+                cdf[o, p, :finite] = 0.0
+                cdf[o, p, finite:] = np.nan
+    n_ants, n_rounds = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    objs = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n_ants, max_size=n_ants)))
+    points = [float(c) for c in cdf.ravel() if 0.0 <= c < 1.0]
+    edge = st.integers(0, GUIDE_BUCKETS - 1).map(lambda b: b / GUIDE_BUCKETS)
+    choices = [edge, st.floats(0.0, 1.0, exclude_max=True)]
+    if points:
+        on_point = st.sampled_from(points)
+        choices += [on_point, on_point.map(lambda c: float(np.nextafter(c, 0.0)))]
+    size = n_rounds * n_ants * n_prims
+    u = np.array(draw(st.lists(st.one_of(*choices), min_size=size, max_size=size)))
+    u = u.reshape(n_rounds, n_ants, n_prims)
+    expected = (cdf[objs] >= u[..., None]).argmax(axis=-1)
+    assert np.array_equal(GuideSampler(cdf).draw(u, objs), expected)
+
+
+def test_guide_sampler_with_many_points_in_one_bucket():
+    # all of a grid's points share bucket 0 except the closing 1.0
+    slots = 40
+    cdf = np.append(np.linspace(0.0, 0.99 / GUIDE_BUCKETS, slots - 1), 1.0)[None, None, :]
+    u = np.random.default_rng(3).random((2, 500, 1)) / GUIDE_BUCKETS
+    u[0, :slots - 1, 0] = cdf[0, 0, :-1]               # exactly on each point
+    objs = np.zeros(500, dtype=int)
+    expected = (cdf[objs] >= u[..., None]).argmax(axis=-1)
+    assert np.array_equal(GuideSampler(cdf).draw(u, objs), expected)

@@ -382,3 +382,30 @@ def test_violation_counts_match_the_signed_gap_oracle(case, k, seed, loads):
     counts = model.violation_counts(vectors)
     assert np.array_equal(counts, reference_violation_counts(model, vectors))
     assert counts[k] == 0 and counts[k + 1] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 142, 150]),
+    lead=st.sampled_from([(1,), (2,), (6,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+@example(case="triple_vm-replica", k=150, lead=(6,), seed=0,
+         loads=[37.0, 410.0, 5.5, 260.0, 91.0, 150.0, 3.0, 480.0, 77.0, 12.0])
+@example(case="smoke-replica", k=3, lead=(6,), seed=1,
+         loads=[37.0, 410.0, 5.5, 260.0, 91.0, 150.0, 3.0, 480.0, 77.0, 12.0])
+def test_stacked_predict_matrix_matches_each_slice(case, k, lead, seed, loads):
+    # the colony stacks rounds in one call; each round must get the bits its
+    # own 2-D call gives, which the cost and replica-group products depend on
+    model, rows, env = oracle_inputs(case, k * int(np.prod(lead)), seed, loads)
+    stacked = rows.reshape(lead + (k, rows.shape[1]))
+    out = model.predict_matrix(stacked, env)
+    assert out.shape == lead + (k, len(model.objective_ids))
+    for at in np.ndindex(*lead):
+        assert np.array_equal(bits(out[at]), bits(model.predict_matrix(stacked[at], env)))
+    counts = model.violation_counts(out)
+    assert counts.shape == lead + (k,)
+    flat = out.reshape(-1, out.shape[-1])
+    assert np.array_equal(counts.reshape(-1), model.violation_counts(flat))

@@ -1,15 +1,26 @@
-"""Time ``RegionModel.predict_matrix`` per call at fixed batch sizes.
+"""Time ``RegionModel.predict_matrix`` per call and ant sampling per round.
 
 Runs the seeded triple_vm moaco-cd plan (plan seed 1, as the ``moaco-triple``
-benchmark workload at ``--seed 1``) until after its second scale-out. It keeps
-the first batch of 100 or more rows the colony sent to the model on each
-topology: 12 primitives before any scale-out, 16 and 20 after. Rows of that
-batch, repeated as needed, are then timed at k = 1, 150 and 1500 rows per
-call. The least mean over seven repeats is reported in microseconds per
-call, as one JSON object on standard output.
+benchmark workload at ``--seed 1``) until after its second scale-out. On each
+topology, 12 primitives before any scale-out and 16 and 20 after, it keeps
+the colony's first stacked construction call, a block of ``(rounds, ants,
+primitives)`` rows, and the selection cdfs that block was drawn from. Then:
 
-The package is imported from ``PYTHONPATH``, so one script times any
-checkout:
+- ``predict_matrix_us_per_call``: rows of that block, repeated as needed,
+  are timed at k = 1, 150 and 1500 rows per 2-D call, and as one stacked
+  call of 6 rounds of 150 ants (``k_6x150``, 900 rows), the colony's block
+  shape while 150 ants are open;
+- ``ant_sampling_us_per_round``: 150 ants, one per objective in turn, draw
+  one round from those cdfs, by the ``argmax(cdf >= u)`` comparison the
+  colony drew with before its guide table (``comparison``) and by
+  ``colony.GuideSampler`` one round at a time (``guide``) and six rounds at
+  a time (``guide_block_6``, per round); ``guide_table_build`` is the
+  once-per-iteration cost of building the sampler.
+
+Each figure is the least mean over seven repeats, in microseconds, and the
+result is one JSON object on standard output. The package is imported from
+``PYTHONPATH``, so one script times any checkout whose colony makes stacked
+model calls:
 
     PYTHONPATH=src python3 tools/predict_cost.py
 """
@@ -22,26 +33,37 @@ from pathlib import Path
 
 import numpy as np
 
-from antscale import experiment, qosmodel
+from antscale import colony, experiment, qosmodel
 from antscale.domain import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 INTERVALS = 46          # the seed-1 plan scales out at intervals 36 and 44
 SIZES = (1, 150, 1500)
+ANTS = 150
+ROUNDS = 6
 REPEATS = 7
 
 
 def capture(out_dir: Path) -> dict:
-    """n_primitives -> (model, first large batch, its environment)."""
+    """n_primitives -> (model, first stacked block, its environment, its cdfs)."""
     captured = {}
-    original = qosmodel.RegionModel.predict_matrix
+    latest = {}     # the cdfs of the iteration being built
+    original_predict = qosmodel.RegionModel.predict_matrix
+    original_cdfs = colony.selection_cdfs
 
-    def recording(model, values, env):
-        if np.ndim(values) == 2 and len(values) >= 100:
-            captured.setdefault(len(model.all_pids), (model, np.array(values), env))
-        return original(model, values, env)
+    def recording_predict(model, values, env):
+        if np.ndim(values) == 3:
+            captured.setdefault(
+                len(model.all_pids), (model, np.array(values), env, latest["cdf"])
+            )
+        return original_predict(model, values, env)
 
-    qosmodel.RegionModel.predict_matrix = recording
+    def recording_cdfs(*args, **kwargs):
+        latest["cdf"] = original_cdfs(*args, **kwargs)
+        return latest["cdf"]
+
+    qosmodel.RegionModel.predict_matrix = recording_predict
+    colony.selection_cdfs = recording_cdfs
     try:
         plan = experiment.ExperimentPlan(
             name="predict-cost", scenario=load_scenario(ROOT / "scenarios" / "triple_vm.json"),
@@ -50,31 +72,61 @@ def capture(out_dir: Path) -> dict:
         )
         experiment.run_experiment(plan)
     finally:
-        qosmodel.RegionModel.predict_matrix = original
+        qosmodel.RegionModel.predict_matrix = original_predict
+        colony.selection_cdfs = original_cdfs
     return captured
 
 
-def us_per_call(model, rows, env) -> float:
-    calls = 1000 if len(rows) <= 150 else 100
+def us_per_call(fn, calls: int) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
         for _ in range(calls):
-            model.predict_matrix(rows, env)
+            fn()
         best = min(best, (time.perf_counter() - started) / calls)
     return 1e6 * best
+
+
+def predict_costs(model, block, env) -> dict:
+    rows = block.reshape(-1, block.shape[-1])
+    costs = {
+        f"k_{k}": us_per_call(
+            lambda batch=np.resize(rows, (k, rows.shape[1])): model.predict_matrix(batch, env),
+            1000 if k <= 150 else 100,
+        )
+        for k in SIZES
+    }
+    stacked = np.resize(rows, (ROUNDS, ANTS, rows.shape[1]))
+    costs[f"k_{ROUNDS}x{ANTS}"] = us_per_call(lambda: model.predict_matrix(stacked, env), 100)
+    return costs
+
+
+def sampling_costs(cdf) -> dict:
+    objs = np.arange(ANTS) % cdf.shape[0]
+    u = np.random.default_rng(0).random((ROUNDS, ANTS, cdf.shape[1]))
+    sampler = colony.GuideSampler(cdf)
+    return {
+        "comparison": us_per_call(lambda: (cdf[objs] >= u[0][:, :, None]).argmax(axis=2), 1000),
+        "guide": us_per_call(lambda: sampler.draw(u[:1], objs), 1000),
+        f"guide_block_{ROUNDS}": us_per_call(lambda: sampler.draw(u, objs), 200) / ROUNDS,
+        "guide_table_build": us_per_call(lambda: colony.GuideSampler(cdf), 200),
+    }
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         captured = capture(Path(tmp))
-    result = {}
-    for n_prims, (model, batch, env) in sorted(captured.items()):
-        result[f"primitives_{n_prims}"] = {
-            f"k_{k}": round(us_per_call(model, np.resize(batch, (k, batch.shape[1])), env), 1)
-            for k in SIZES
+    predict, sampling = {}, {}
+    for n_prims, (model, block, env, cdf) in sorted(captured.items()):
+        predict[f"primitives_{n_prims}"] = {
+            k: round(v, 1) for k, v in predict_costs(model, block, env).items()
         }
-    print(json.dumps({"predict_matrix_us_per_call": result}))
+        sampling[f"primitives_{n_prims}_ants_{ANTS}"] = {
+            k: round(v, 1) for k, v in sampling_costs(cdf).items()
+        }
+    print(json.dumps({
+        "predict_matrix_us_per_call": predict, "ant_sampling_us_per_round": sampling,
+    }))
     return 0
 
 
