@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colony import grid_table
-from .domain import SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, root_id
+from .domain import (
+    SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, is_integer, is_real, root_id,
+)
 from .dominance import DecisionArchive, pareto, wins
 from .simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA
 
@@ -222,29 +224,46 @@ class MogaConfig:
         if unknown:
             raise ConfigError(f"moga: unknown parameters {sorted(unknown)}")
         cfg = cls(**doc)
-        if cfg.population % 2 != 0:
-            raise ConfigError(f"moga: population must be even, got {cfg.population}")
-        if not 0 <= cfg.crossover_rate <= 1:
-            raise ConfigError(f"moga: crossover_rate must lie in [0, 1], got {cfg.crossover_rate}")
-        if cfg.mutation_rate is not None and not 0 <= cfg.mutation_rate <= 1:
-            raise ConfigError(f"moga: mutation_rate must lie in [0, 1], got {cfg.mutation_rate}")
+        if not is_integer(cfg.population) or cfg.population < 2 or cfg.population % 2:
+            raise ConfigError(
+                f"moga: population must be a positive even integer, got {cfg.population!r}")
+        if not is_integer(cfg.generations) or cfg.generations < 0:
+            raise ConfigError(
+                f"moga: generations must be an integer >= 0, got {cfg.generations!r}")
+        rates = {"crossover_rate": cfg.crossover_rate}
+        if cfg.mutation_rate is not None:
+            rates["mutation_rate"] = cfg.mutation_rate
+        for name, value in rates.items():
+            if not is_real(value) or not 0 <= value <= 1:
+                raise ConfigError(f"moga: {name} must lie in [0, 1], got {value!r}")
         return cfg
 
 
-def nondominated_ranks(vectors: np.ndarray, signs) -> np.ndarray:
-    """Front index per row (0 = non-dominated), by iterative peeling."""
+def nondominated_ranks(vectors: np.ndarray, signs) -> tuple:
+    """Front index per row (0 = non-dominated) and the dominance matrix.
+
+    The matrix's ``[i, j]`` is True where row ``i`` dominates row ``j``, and
+    the fronts are peeled from it by :func:`peel_fronts`. Dominance relates
+    two rows alone, so the matrix of a subset of the rows is the matching
+    sub-block of this one.
+    """
     adjusted = np.atleast_2d(vectors) * np.asarray(signs)[None, :]
     won = wins(adjusted, adjusted)
-    dominates = pareto(won, won.T)   # [i, j]: i dominates j
+    dominates = pareto(won, won.T)
+    return peel_fronts(dominates), dominates
+
+
+def peel_fronts(dominates: np.ndarray) -> np.ndarray:
+    """Front index per row of a dominance matrix, by iterative peeling."""
     dominators = dominates.sum(axis=0).astype(int)
-    n = adjusted.shape[0]
+    n = dominates.shape[0]
     ranks = np.full(n, -1, dtype=int)
     remaining = np.ones(n, dtype=bool)
     front = 0
     while remaining.any():
         members = remaining & (dominators == 0)
         if not members.any():
-            # numerical safety net; should not happen with a strict relation
+            # NaN ties with every value, so dominance can run in a cycle
             members = remaining
         ranks[members] = front
         remaining &= ~members
@@ -254,33 +273,69 @@ def nondominated_ranks(vectors: np.ndarray, signs) -> np.ndarray:
 
 
 def crowding_distances(vectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Per-row crowding distance computed within each front."""
+    """Per-row crowding distance computed within each front.
+
+    Per objective, a front's rows are sorted stably. The first and last are
+    boundary rows; each other row gains the gap between its neighbours over
+    the objective's span, when the span is positive. Gains add up in
+    objective order. A boundary row is infinite plus the gains of the
+    objectives after the last one it bounds, so a NaN gain there (the gap
+    next to an infinite value) leaves it NaN. Fronts of one or two rows are
+    all boundary.
+    """
     vectors = np.atleast_2d(vectors)
     n, m = vectors.shape
     out = np.zeros(n)
+    objectives = np.arange(m)
     for front in np.unique(ranks):
         members = np.flatnonzero(ranks == front)
-        if members.size <= 2:
+        k = members.size
+        if k <= 2:
             out[members] = np.inf
             continue
-        for j in range(m):
-            order = members[np.argsort(vectors[members, j], kind="stable")]
-            column = vectors[order, j]
+        block = vectors[members]
+        order = np.argsort(block, axis=0, kind="stable")      # (k, m)
+        column = block[order, objectives]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             span = column[-1] - column[0]
-            out[order[0]] = np.inf
-            out[order[-1]] = np.inf
-            if span > 0:
-                inner = (column[2:] - column[:-2]) / span
-                out[order[1:-1]] += inner
+            inner = (column[2:] - column[:-2]) / span
+        gains = np.zeros((m, k))
+        gains[objectives, order[1:-1]] = np.where(span > 0, inner, 0.0)
+        bounds = np.zeros((m, k), dtype=bool)
+        bounds[objectives, order[0]] = True
+        bounds[objectives, order[-1]] = True
+        # [j, r]: row r bounds no objective from j on
+        later = ~np.logical_or.accumulate(bounds[::-1], axis=0)[::-1]
+        total = np.where(later, gains, 0.0).sum(axis=0)
+        out[members] = np.where(later[0], total, np.inf + total)
     return out
 
 
-def _tournament(ranks, crowding, i, j) -> int:
-    if ranks[i] != ranks[j]:
-        return i if ranks[i] < ranks[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i
+def _crossover(children: np.ndarray, rate: float, rng) -> None:
+    """Uniform crossover of consecutive pairs of rows, in place.
+
+    Each pair draws one uniform that decides whether it crosses, and a
+    crossing pair then one per gene that decides whether the gene swaps.
+    The draws are made in one call, and the generator is set back to where
+    drawing pair by pair would have left it.
+    """
+    n_pairs, n_genes = children.shape[0] // 2, children.shape[1]
+    rewind = rng.bit_generator.state
+    uniforms = rng.random(n_pairs * (1 + n_genes))
+    crossing = np.zeros(n_pairs, dtype=bool)
+    starts = np.zeros(n_pairs, dtype=int)
+    used = 0
+    for pair in range(n_pairs):
+        crossing[pair] = uniforms[used] < rate
+        starts[pair] = used + 1
+        used += 1 + (n_genes if crossing[pair] else 0)
+    if used < uniforms.size:
+        rng.bit_generator.state = rewind
+        rng.random(used)
+    swap = np.zeros((n_pairs, n_genes), dtype=bool)
+    swap[crossing] = uniforms[starts[crossing, None] + np.arange(n_genes)] < 0.5
+    first, second = children[0:2 * n_pairs:2], children[1:2 * n_pairs:2]
+    first[...], second[...] = np.where(swap, second, first), np.where(swap, first, second)
 
 
 def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
@@ -289,13 +344,16 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
     Integer chromosomes index each primitive's grid. Standard machinery:
     binary tournaments on (front, crowding), uniform crossover, one-notch
     per-gene mutation, and environmental selection over parents plus
-    offspring.
+    offspring. The survivors' fronts are peeled from the selection's
+    dominance matrix, so only the initial population and each generation's
+    parents plus offspring are compared afresh.
     """
     model = runtime.model
+    signs = model.direction_signs
     values, valid = grid_table(runtime.grids)
     n_prims, sizes = valid.shape[0], valid.sum(axis=1)
     prims = np.arange(n_prims)
-    pop_n = max(int(cfg.population), 2)
+    pop_n = cfg.population
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n_prims
     deadline = (
         None if cfg.time_budget_s is None
@@ -306,23 +364,17 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
     for a in range(n_prims):
         genomes[:, a] = rng.integers(sizes[a], size=pop_n)
     vectors = model.predict_matrix(values[prims, genomes], runtime.env)
+    ranks, _ = nondominated_ranks(vectors, signs)
 
-    for _ in range(max(int(cfg.generations), 0)):
+    for _ in range(cfg.generations):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        ranks = nondominated_ranks(vectors, model.direction_signs)
         crowding = crowding_distances(vectors, ranks)
-        picks = rng.integers(pop_n, size=(pop_n, 2))
-        parents = np.array(
-            [_tournament(ranks, crowding, int(i), int(j)) for i, j in picks]
-        )
-        children = genomes[parents].copy()
-        for i in range(0, pop_n - 1, 2):
-            if rng.random() < cfg.crossover_rate:
-                swap = rng.random(n_prims) < 0.5
-                a, b = children[i].copy(), children[i + 1].copy()
-                children[i, swap] = b[swap]
-                children[i + 1, swap] = a[swap]
+        i, j = rng.integers(pop_n, size=(pop_n, 2)).T
+        # the better front wins, then the larger crowding; ties go to i
+        i_wins = (ranks[i] < ranks[j]) | ((ranks[i] == ranks[j]) & (crowding[i] >= crowding[j]))
+        children = genomes[np.where(i_wins, i, j)]
+        _crossover(children, cfg.crossover_rate, rng)
         mutate = rng.random((pop_n, n_prims)) < mut_rate
         steps = rng.integers(0, 2, size=(pop_n, n_prims)) * 2 - 1
         mutated = np.clip(children + steps, 0, (sizes - 1)[None, :])
@@ -331,13 +383,14 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
         child_vectors = model.predict_matrix(values[prims, children], runtime.env)
         combined = np.vstack([genomes, children])
         combined_vecs = np.vstack([vectors, child_vectors])
-        ranks = nondominated_ranks(combined_vecs, model.direction_signs)
-        crowding = crowding_distances(combined_vecs, ranks)
-        order = np.lexsort((-crowding, ranks))[:pop_n]
+        combined_ranks, dominates = nondominated_ranks(combined_vecs, signs)
+        crowding = crowding_distances(combined_vecs, combined_ranks)
+        order = np.lexsort((-crowding, combined_ranks))[:pop_n]
         genomes = combined[order]
         vectors = combined_vecs[order]
+        ranks = peel_fronts(dominates[np.ix_(order, order)])
 
-    front = nondominated_ranks(vectors, model.direction_signs) == 0
+    front = ranks == 0
     return DecisionArchive(
         model.region_pids, values[prims, genomes[front]], vectors[front],
         model.violation_counts(vectors[front]),

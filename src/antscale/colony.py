@@ -24,13 +24,12 @@ the same draws, and the same decisions, as it would round by round.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ConfigError
+from .domain import ConfigError, is_integer, is_real
 from .dominance import DecisionArchive
 
 EPS = 1e-9
@@ -39,10 +38,6 @@ BLOCK_ROWS = 900
 # buckets per grid of the sampler's guide table; a power of two, so that
 # scaling a uniform or a cdf value by it is exact
 GUIDE_BUCKETS = 64
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -68,15 +63,15 @@ class MoacoConfig:
         cfg = cls(**doc)
         for name in ("max_iteration", "max_ant", "max_run"):
             value = getattr(cfg, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ConfigError(f"moaco: {name} must be a positive integer, got {value!r}")
         for name in ("alpha", "beta"):
             value = getattr(cfg, name)
-            if not _is_real(value) or not 0 <= value < math.inf:
+            if not is_real(value) or not 0 <= value < math.inf:
                 raise ConfigError(f"moaco: {name} must be a finite number >= 0, got {value!r}")
-        if not _is_real(cfg.rho) or not 0 < cfg.rho < 1:
+        if not is_real(cfg.rho) or not 0 < cfg.rho < 1:
             raise ConfigError(f"moaco: rho must lie in (0, 1), got {cfg.rho!r}")
-        if not _is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
+        if not is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
             raise ConfigError(f"moaco: floor_ratio must lie in (0, 1], got {cfg.floor_ratio!r}")
         return cfg
 

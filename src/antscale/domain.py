@@ -10,6 +10,7 @@ equality, hashing and CSV round-trips stay exact.
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 MINIMIZE = "minimize"
@@ -46,6 +47,16 @@ KNOWN_MODELS = (MODEL_QUEUE, MODEL_PRICE_SUM)
 
 class ConfigError(Exception):
     """Raised when a scenario document cannot be used as configured."""
+
+
+# JSON true and false load as bools, which Python counts as integers; a
+# setting that takes a count or a rate refuses them
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def replica_id(base: str, n: int) -> str:

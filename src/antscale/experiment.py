@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines, colony, traces
 from .colony import MoacoConfig
 from .dominance import select_compromise
-from .domain import ConfigError, Decision, Scenario
+from .domain import ConfigError, Decision, Scenario, is_integer
 from .metrics import (
     ObjectiveRecord,
     ProvisionRecord,
@@ -86,7 +86,10 @@ def _search_budget(scenario: Scenario) -> int:
     params = scenario.algorithm_params
     explicit = params.get("search", {}).get("evaluations")
     if explicit is not None:
-        return int(explicit)
+        if not is_integer(explicit) or explicit < 1:
+            raise ConfigError(
+                f"search: evaluations must be a positive integer, got {explicit!r}")
+        return explicit
     moaco = MoacoConfig.from_dict(params.get("moaco", {}))
     return moaco.max_iteration * moaco.max_ant * moaco.max_run
 
@@ -196,6 +199,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     params = plan.scenario.algorithm_params
     MoacoConfig.from_dict(params.get("moaco", {}))
     baselines.MogaConfig.from_dict(params.get("moga", {}))
+    _search_budget(plan.scenario)
     trace = resolve_trace(plan)
     tasks = [
         (plan.scenario, trace, approach, run_idx, plan)

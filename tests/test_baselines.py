@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antscale.baselines import (
     MogaConfig,
@@ -11,11 +13,14 @@ from antscale.baselines import (
     hill_climb,
     moga_optimize,
     nondominated_ranks,
+    peel_fronts,
     random_search,
     rule_decide,
     weighted_best,
 )
+from antscale.colony import grid_table
 from antscale.domain import ConfigError
+from antscale.dominance import DecisionArchive
 from antscale.simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA, EnvironmentState
 from conftest import smoke_runtime, toy_runtime
 
@@ -226,7 +231,7 @@ def test_ranks_match_peeling_oracle_on_random_sets():
     signs = (-1.0, 1.0, -1.0)
     for _ in range(15):
         vectors = rng.uniform(-3, 3, size=(25, 3))
-        got = nondominated_ranks(vectors, signs)
+        got, _ = nondominated_ranks(vectors, signs)
         want = oracle_fronts([tuple(v) for v in vectors], signs)
         assert list(got) == want
 
@@ -237,8 +242,19 @@ def test_ranks_on_a_known_layered_set():
         [6.0, 6.0], [1.0, 11.0],                 # front 1
         [7.0, 7.0],                              # front 2
     ])
-    ranks = nondominated_ranks(vectors, (-1.0, -1.0))
+    ranks, dominates = nondominated_ranks(vectors, (-1.0, -1.0))
     assert list(ranks) == [0, 0, 0, 1, 1, 2]
+    assert dominates[1, 3] and dominates[3, 5] and not dominates[3, 1]
+    keep = [5, 1, 3]
+    assert list(peel_fronts(dominates[np.ix_(keep, keep)])) == [2, 0, 1]
+
+
+def test_cyclic_dominance_falls_back_to_one_front():
+    # NaN ties with every value: x beats y, y beats z and z beats x
+    vectors = np.array([[1.0, np.nan, 0.0], [0.0, 0.0, np.nan], [np.nan, -1.0, 1.0]])
+    ranks, dominates = nondominated_ranks(vectors, (1.0, 1.0, 1.0))
+    assert dominates[0, 1] and dominates[1, 2] and dominates[2, 0]
+    assert list(ranks) == [0, 0, 0]
 
 
 def test_crowding_rewards_isolation():
@@ -254,6 +270,76 @@ def test_tiny_fronts_are_all_boundary():
     vectors = np.array([[1.0, 2.0], [2.0, 1.0]])
     crowding = crowding_distances(vectors, np.zeros(2, dtype=int))
     assert np.isinf(crowding).all()
+
+
+def reference_crowding(vectors, ranks):
+    """Crowding distance one front and one objective at a time."""
+    vectors = np.atleast_2d(vectors)
+    n, m = vectors.shape
+    out = np.zeros(n)
+    for front in np.unique(ranks):
+        members = np.flatnonzero(ranks == front)
+        if members.size <= 2:
+            out[members] = np.inf
+            continue
+        for j in range(m):
+            order = members[np.argsort(vectors[members, j], kind="stable")]
+            column = vectors[order, j]
+            span = column[-1] - column[0]
+            out[order[0]] = np.inf
+            out[order[-1]] = np.inf
+            if span > 0:
+                inner = (column[2:] - column[:-2]) / span
+                out[order[1:-1]] += inner
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+# ties, signed zeros, infinities and NaN, plus spans that overflow
+CROWDING_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 2.0, -3.5, 1e308, -1e308, np.inf, -np.inf, np.nan)),
+    st.floats(-100.0, 100.0, width=16),
+)
+
+
+@st.composite
+def fronted_vectors(draw):
+    """A matrix of up to 16 objectives with a front index per row."""
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 16))
+    cells = draw(st.lists(CROWDING_VALUES, min_size=n * m, max_size=n * m))
+    fronts = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(0, fronts - 1), min_size=n, max_size=n))
+    return np.array(cells).reshape(n, m), np.array(ranks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fronted_vectors())
+# row 1 bounds objective 0 and sits next to an infinite value in objective
+# 1, whose NaN gap leaves it NaN
+@example((np.array([[1.0, 0.0], [0.0, 5.0], [2.0, np.inf], [3.0, 1.0]]), np.zeros(4, int)))
+# row 1's only gain is -0.0 - 0.0 = -0.0, which the loop adds to 0.0,
+# so a sum has to start from 0.0 too
+@example((np.array([[0.0], [0.0], [-0.0], [1.0]]), np.zeros(4, int)))
+def test_crowding_matches_the_per_objective_loop(case):
+    vectors, ranks = case
+    got = crowding_distances(vectors, ranks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_crowding(vectors, ranks)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_crowding_adds_gains_in_objective_order():
+    # full-precision gains over 9 to 16 objectives, where a pairwise sum
+    # would round differently from one objective at a time
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(12, 9 + seed % 8))
+        ranks = rng.integers(2, size=12)
+        got = crowding_distances(vectors, ranks)
+        assert np.array_equal(bits(got), bits(reference_crowding(vectors, ranks)))
 
 
 # -- genetic optimizer -----------------------------------------------------
@@ -330,10 +416,155 @@ def test_moga_is_seed_reproducible():
 
 def test_moga_config_validation():
     with pytest.raises(ConfigError):
-        MogaConfig.from_dict({"population": 7})
-    with pytest.raises(ConfigError):
-        MogaConfig.from_dict({"crossover_rate": 1.5})
-    with pytest.raises(ConfigError):
         MogaConfig.from_dict({"mutation_rtae": 0.1})
     cfg = MogaConfig.from_dict({"population": 10, "generations": 3})
     assert cfg.population == 10
+    cfg = MogaConfig.from_dict({"population": 2, "generations": 0, "crossover_rate": 1,
+                                "mutation_rate": 0.0})
+    assert (cfg.population, cfg.generations) == (2, 0)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("population", 7), ("population", 0), ("population", -4), ("population", 40.0),
+    ("population", True), ("population", "40"),
+    ("generations", -2), ("generations", 2.5), ("generations", False),
+    ("crossover_rate", 1.5), ("crossover_rate", -0.1), ("crossover_rate", "0.5"),
+    ("crossover_rate", float("nan")), ("crossover_rate", True),
+    ("mutation_rate", 2.0), ("mutation_rate", "0.1"), ("mutation_rate", False),
+])
+def test_moga_config_rejects_a_bad_value(setting, value):
+    with pytest.raises(ConfigError, match=f"moga: {setting}"):
+        MogaConfig.from_dict({setting: value})
+
+
+def reference_moga(runtime, cfg, rng):
+    """The genetic search pair by pair, ranking every population afresh."""
+    model = runtime.model
+    signs = model.direction_signs
+    values, valid = grid_table(runtime.grids)
+    n_prims, sizes = valid.shape[0], valid.sum(axis=1)
+    prims = np.arange(n_prims)
+    pop_n = cfg.population
+    mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n_prims
+
+    def ranks_of(vectors):
+        return nondominated_ranks(vectors, signs)[0]
+
+    def tournament(ranks, crowding, i, j):
+        if ranks[i] != ranks[j]:
+            return i if ranks[i] < ranks[j] else j
+        if crowding[i] != crowding[j]:
+            return i if crowding[i] > crowding[j] else j
+        return i
+
+    genomes = np.empty((pop_n, n_prims), dtype=int)
+    for a in range(n_prims):
+        genomes[:, a] = rng.integers(sizes[a], size=pop_n)
+    vectors = model.predict_matrix(values[prims, genomes], runtime.env)
+    for _ in range(cfg.generations):
+        ranks = ranks_of(vectors)
+        crowding = reference_crowding(vectors, ranks)
+        picks = rng.integers(pop_n, size=(pop_n, 2))
+        parents = np.array([tournament(ranks, crowding, int(i), int(j)) for i, j in picks])
+        children = genomes[parents].copy()
+        for i in range(0, pop_n - 1, 2):
+            if rng.random() < cfg.crossover_rate:
+                swap = rng.random(n_prims) < 0.5
+                a, b = children[i].copy(), children[i + 1].copy()
+                children[i, swap] = b[swap]
+                children[i + 1, swap] = a[swap]
+        mutate = rng.random((pop_n, n_prims)) < mut_rate
+        steps = rng.integers(0, 2, size=(pop_n, n_prims)) * 2 - 1
+        mutated = np.clip(children + steps, 0, (sizes - 1)[None, :])
+        children = np.where(mutate, mutated, children)
+
+        child_vectors = model.predict_matrix(values[prims, children], runtime.env)
+        combined = np.vstack([genomes, children])
+        combined_vecs = np.vstack([vectors, child_vectors])
+        ranks = ranks_of(combined_vecs)
+        crowding = reference_crowding(combined_vecs, ranks)
+        order = np.lexsort((-crowding, ranks))[:pop_n]
+        genomes = combined[order]
+        vectors = combined_vecs[order]
+    front = ranks_of(vectors) == 0
+    return DecisionArchive(
+        model.region_pids, values[prims, genomes[front]], vectors[front],
+        model.violation_counts(vectors[front]),
+    )
+
+
+def hashed_runtime(sizes, directions, nan_share, inf_share):
+    """Objectives scattered pseudo-randomly over the rows, some NaN or infinite.
+
+    Any objective may be NaN, so dominance can run in cycles. A row violates
+    one requirement per objective above 7.
+    """
+    weights = np.array([12.9898, 78.233, 37.719, 4.581, 93.989])[:len(sizes)]
+
+    def fn(rows):
+        mixed = (rows * weights).sum(axis=1)
+
+        def frac(shift):
+            return np.modf(np.abs(np.sin(mixed + shift)) * 43758.5453)[0]
+        columns = [
+            np.where(frac(10.0 + o) < nan_share, np.nan, 10.0 * frac(o))
+            for o in range(len(directions))
+        ]
+        columns[-1] = np.where(frac(20.0) < inf_share, np.inf, columns[-1])
+        return np.stack(columns, axis=1)
+
+    grids = [10.0 * a + np.arange(1.0, g + 1.0) for a, g in enumerate(sizes)]
+    runtime = stub_runtime(grids, [g[0] for g in grids], fn, directions)
+    runtime.model.violation_counts = lambda v: (np.atleast_2d(v) > 7.0).sum(axis=-1)
+    return runtime
+
+
+def assert_same_search(runtime, cfg, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    archive = moga_optimize(runtime, cfg, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_moga(runtime, cfg, oracle_rng)
+    assert np.array_equal(archive.rows, expected.rows)
+    assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
+    assert np.array_equal(archive.violations, expected.violations)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    directions=st.lists(st.sampled_from(("min", "max")), min_size=1, max_size=4),
+    population=st.integers(1, 8).map(lambda half: 2 * half),
+    generations=st.integers(0, 6),
+    crossover_rate=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+    mutation_rate=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    nan_share=st.sampled_from((0.0, 0.0, 0.3)),
+    inf_share=st.sampled_from((0.0, 0.0, 0.2)),
+)
+def test_moga_matches_the_pair_by_pair_search(
+        seed, sizes, directions, population, generations, crossover_rate, mutation_rate,
+        nan_share, inf_share):
+    runtime = hashed_runtime(sizes, directions, nan_share, inf_share)
+    cfg = MogaConfig(population=population, generations=generations,
+                     crossover_rate=crossover_rate, mutation_rate=mutation_rate)
+    assert_same_search(runtime, cfg, seed)
+
+
+CYCLE_TABLE = {
+    0.0: (1.0, np.nan, 0.0), 1.0: (0.0, 0.0, np.nan), 2.0: (np.nan, -1.0, 1.0),
+    3.0: (-1.0, -1.0, -1.0), 4.0: (0.5, np.nan, np.nan), 5.0: (-2.0, 2.0, -2.0),
+}
+
+
+def test_moga_matches_the_pair_by_pair_search_through_dominance_cycles():
+    # rows 0 -> 1 -> 2 -> 0 dominate in a cycle, so peeling falls back to
+    # taking every remaining row as one front
+    def fn(rows):
+        return np.array([CYCLE_TABLE[float(r[0])] for r in rows])
+
+    runtime = stub_runtime([list(range(6))], [0.0], fn, ("max", "max", "max"))
+    for seed in range(20):
+        for crossover_rate in (0.0, 0.5, 1.0):
+            cfg = MogaConfig(population=6, generations=5, crossover_rate=crossover_rate)
+            assert_same_search(runtime, cfg, seed)

@@ -349,18 +349,30 @@ def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     assert not (tmp_path / "out").exists()
 
 
+def assert_rule_plan_refused(tmp_path, capsys, block, setting, value):
+    doc = smoke_doc()
+    doc["algorithms"][block][setting] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([
+        "run", "--scenario", str(path), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: ") and setting in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path, capsys):
-    for setting, value in (("population", 7), ("time_budget_s", 5.0)):
-        doc = smoke_doc()
-        doc["algorithms"]["moga"][setting] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code = cli.main([
-            "run", "--scenario", str(path), "--approaches", "rule",
-            "--intervals", "4", "--warmup", "1", "--runs", "1",
-            "--out", str(tmp_path / "out"), "--quiet",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: moga: ") and setting in err
-        assert not (tmp_path / "out").exists()
+    for setting, value in (
+        ("population", 7), ("population", 0), ("generations", -2), ("generations", 2.5),
+        ("crossover_rate", "0.5"), ("time_budget_s", 5.0),
+    ):
+        assert_rule_plan_refused(tmp_path, capsys, "moga", setting, value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 7.5, True, "200"])
+def test_bad_search_evaluations_fail_a_plan_that_does_not_search(tmp_path, capsys, value):
+    assert_rule_plan_refused(tmp_path, capsys, "search", "evaluations", value)
