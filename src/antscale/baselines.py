@@ -37,7 +37,9 @@ class RunningSpan:
 
     def score(self, vectors: np.ndarray) -> np.ndarray:
         """Sum of normalized badness; 0 is the best seen per objective."""
-        vectors = np.atleast_2d(vectors)
+        # row-major, so each row's sum runs in numpy's pairwise order whatever
+        # layout the model's objective matrix has
+        vectors = np.ascontiguousarray(np.atleast_2d(vectors))
         span = self.hi - self.lo
         with np.errstate(invalid="ignore", divide="ignore"):
             toward_max = (self.hi[None, :] - vectors) / span[None, :]

@@ -17,10 +17,11 @@ An ant retries until it finds a decision predicted to satisfy every
 requirement or its retry budget runs out, in which case its best attempt for
 its own objective stands. Most ants use every retry, so construction is
 speculative: the still-open ants' next rounds are drawn and evaluated in
-blocks of about ``BLOCK_ROWS`` rows, one model call per block, and the rounds
-are then settled in order. A round in which some ant closes ends the block;
-the random draws of the rounds after it are given back, so the colony makes
-the same draws, and the same decisions, as it would round by round.
+blocks of about ``BLOCK_ROWS`` rows, one model call per block. A round in
+which some ant closes ends the block, and the rounds up to it are settled in
+one array step that keeps what settling them in order would keep. The random
+draws of the rounds after it are given back, so the colony makes the same
+draws, and the same decisions, as it would round by round.
 """
 
 import math
@@ -37,7 +38,7 @@ EPS = 1e-9
 BLOCK_ROWS = 900
 # buckets per grid of the sampler's guide table; a power of two, so that
 # scaling a uniform or a cdf value by it is exact
-GUIDE_BUCKETS = 64
+GUIDE_BUCKETS = 256
 
 
 @dataclass
@@ -101,7 +102,8 @@ def compute_heuristics(model, env, current_row: np.ndarray, values: np.ndarray,
     prims, slots = np.nonzero(valid)
     rows = np.repeat(current_row[None, :], prims.size, axis=0)
     rows[np.arange(prims.size), prims] = values[prims, slots]
-    preds = model.predict_matrix(rows, env)
+    # row-major, so each row's sums below run in numpy's pairwise order
+    preds = np.ascontiguousarray(model.predict_matrix(rows, env))
     cur = model.predict_matrix(current_row[None, :], env)[0]
     signs = model.direction_signs
 
@@ -245,6 +247,26 @@ def clamp(trails: np.ndarray, tau_min: np.ndarray, tau_max: np.ndarray) -> None:
     np.clip(trails, tau_min[:, None, None], tau_max[:, None, None], out=trails)
 
 
+def _settle(h: np.ndarray, kept: np.ndarray, kept_h: np.ndarray, ok: np.ndarray) -> tuple:
+    """Settle a block of rounds at once, as settling them in order would.
+
+    ``h[r, a]`` is open ant ``a``'s signed value for its own objective in
+    round ``r``, ``kept`` and ``kept_h`` what each ant holds before the block,
+    and ``ok`` whether it closes in the block's last round. In order, a round
+    replaces the kept row when the ant closes in it, holds nothing yet, or
+    beats ``kept_h`` strictly; NaN beats nothing and nothing beats NaN.
+    Returns ``(pick, take)``: the round each ant would end up keeping, and
+    whether that round replaces its kept row.
+    """
+    best = np.fmax.reduce(h, axis=0)      # the largest non-NaN h, NaN if none
+    pick = (h == best).argmax(axis=0)     # its earliest round, else round 0
+    take = ok | ~kept | (best > kept_h)
+    # a first round of NaN, once kept, is never replaced
+    pick[~kept & np.isnan(h[0])] = 0
+    pick[ok] = h.shape[0] - 1
+    return pick, take
+
+
 @dataclass
 class OptimizeStats:
     """Phase timings and counters filled in by :func:`optimize`."""
@@ -273,19 +295,19 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     run in rounds over the still-unsatisfied ants, and the rounds in blocks:
     with ``n`` ants open, one model call evaluates the next
     ``max(1, BLOCK_ROWS // n)`` rounds, at most the retries left and at most
-    twice the rounds the iteration's previous block settled. The rounds are
-    settled in order up to and including the first in which an ant closes;
-    the generator is then rewound and re-drawn for exactly the rounds
-    settled, so the draws, the archive and the final generator state are
-    those of a round-by-round construction. The wall-clock budget is
-    checked between blocks; on expiry the archive accumulated so far is
-    returned (never empty, since the first block of the first iteration
-    always completes).
+    twice the rounds the previous block settled, in this iteration or the
+    one before. The rounds up to and including the first in which an ant
+    closes are settled (:func:`_settle`); the generator is then rewound and
+    re-drawn for exactly the rounds settled, so the draws, the archive and
+    the final generator state are those of a round-by-round construction.
+    An objective's trails are updated from the kept ants whose value for it
+    is not NaN; without any, they only keep their bounds. The wall-clock
+    budget is checked between blocks; on expiry the archive accumulated so
+    far is returned (never empty, since the first block of the first
+    iteration always completes).
     """
     start = time.perf_counter()
     m = len(model.objective_ids)
-    if cfg.max_ant < 1 or cfg.max_iteration < 1 or cfg.max_run < 1:
-        raise ConfigError("moaco: max_ant, max_iteration and max_run must be positive")
     signs = model.direction_signs
     values, valid = grid_table(grids)
     n_prims = values.shape[0]
@@ -310,6 +332,7 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
 
     t_construct = 0.0
     t_update = 0.0
+    reach = cfg.max_run
     iterations = 0
     constructions = 0
     out_of_time = False
@@ -329,7 +352,6 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         done = np.zeros(n_ant, dtype=bool)
 
         rounds_left = cfg.max_run
-        reach = cfg.max_run
         while rounds_left and not done.all():
             open_ants = np.flatnonzero(~done)
             n_open = open_ants.size
@@ -340,24 +362,22 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
             block_idx = sampler.draw(u, objs)
             block_vecs = model.predict_matrix(values[prims, block_idx], env)
             block_viols = model.violation_counts(block_vecs)
-            block_h = block_vecs[:, np.arange(n_open), objs] * signs[objs]
             model_calls += 1
             rows_evaluated += n_rounds * n_open
             closing = (block_viols == 0).any(axis=1)
             used = int(closing.argmax()) + 1 if closing.any() else n_rounds
-            for idx, vecs, viols, h in zip(block_idx[:used], block_vecs[:used],
-                                           block_viols[:used], block_h[:used]):
-                # each open ant appears once per round, so masked writes match
-                # settling the ants one by one
-                ok = viols == 0
-                better = ok | ~kept[open_ants] | (h > kept_h[open_ants])
-                improved = open_ants[better]
-                kept_idx[improved] = idx[better]
-                kept_vecs[improved] = vecs[better]
-                kept_viol[improved] = viols[better]
-                kept_h[improved] = h[better]
-                kept[improved] = True
-                done[open_ants[ok]] = True
+            ok = block_viols[used - 1] == 0
+            h = block_vecs[:used, np.arange(n_open), objs] * signs[objs]
+            pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
+            slot = np.flatnonzero(take)
+            pick = pick[slot]
+            improved = open_ants[slot]
+            kept_idx[improved] = block_idx[pick, slot]
+            kept_vecs[improved] = block_vecs[pick, slot]
+            kept_viol[improved] = block_viols[pick, slot]
+            kept_h[improved] = h[pick, slot]
+            kept[improved] = True
+            done[open_ants[ok]] = True
             constructions += used * n_open
             # closings come in runs, so a block that closed early shortens
             # the next, and one that did not lets the next grow
@@ -374,9 +394,11 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
 
         t0 = time.perf_counter()
         found.append((kept_idx[kept], kept_vecs[kept], kept_viol[kept]))
-        signed_h = np.where(kept, kept_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj], -np.inf)
+        signed_h = kept_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj]
+        # a NaN value leads no objective, so no trail bound or deposit is NaN
+        leads = kept & ~np.isnan(signed_h)
         for o in range(m):
-            members = np.flatnonzero((ant_obj == o) & kept)
+            members = np.flatnonzero((ant_obj == o) & leads)
             if members.size == 0:
                 continue
             leader = members[int(np.argmax(signed_h[members]))]

@@ -52,8 +52,11 @@ class DecisionArchive:
         rows = np.asarray(rows)
         if not (np.isfinite(rows) & (rows == np.trunc(rows))).all():
             raise ValueError("DecisionArchive: rows must hold integral grid values")
-        rows = rows.astype(np.int64)
-        _, first = np.unique(rows, axis=0, return_index=True)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        # one opaque key per row: np.unique's stable sort keeps each first
+        # occurrence, several times faster than np.unique(rows, axis=0)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first = np.unique(keys, return_index=True)
         keep = np.sort(first)
         self.primitive_ids = list(primitive_ids)
         self.rows = rows[keep]
@@ -88,8 +91,11 @@ def wins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Both arrays are sign-adjusted rows, so larger is better everywhere.
     """
     counts = np.zeros((a.shape[0], b.shape[0]), dtype=np.min_scalar_type(a.shape[1]))
-    for k in range(a.shape[1]):
-        counts += a[:, k, None] > b[None, :, k]
+    beats = np.empty(counts.shape, dtype=bool)
+    # one contiguous objective column of each side per pass, into one buffer
+    for col_a, col_b in zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)):
+        np.greater(col_a[:, None], col_b[None, :], out=beats)
+        counts += beats
     return counts
 
 

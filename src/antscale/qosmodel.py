@@ -12,9 +12,11 @@ all of a region's objectives are produced in one numpy pass, which is what
 keeps thousands of constructions per decision affordable. The fixed cost of
 a call matters as much as its cost per row: how objectives are read off the
 per-service results is planned once per model as index arrays, and a call
-runs a fixed, short sequence of array operations. Batches may also be
-stacked, ``(..., k, n_primitives)``: the colony evaluates several rounds of
-its ants in one call, and each ``(k, n_primitives)`` slice gets the bits a
+runs a fixed, short sequence of array operations. The pass is laid out by
+primitive, service and objective rather than by row, so each step works on
+long contiguous rows of one quantity across all candidates. Batches may also
+be stacked, ``(..., k, n_primitives)``: the colony evaluates several rounds
+of its ants in one call, and each ``(k, n_primitives)`` slice gets the bits a
 call of its own would give.
 """
 
@@ -85,8 +87,53 @@ _PLANES = {
 }
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+def _sigmoid(x, out=None):
+    """``1 / (1 + exp(-clip(x, -60, 60)))``, into ``out`` when given."""
+    # maximum and minimum are np.clip's result with less overhead per call
+    out = np.minimum(np.maximum(x, -60.0, out=out), 60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _sum_plan(group_of: np.ndarray, n_groups: int) -> tuple:
+    """``(n_groups, layers)`` for :func:`_in_order_sums`.
+
+    Layer ``i`` pairs each group that has an ``i``-th item with that item,
+    items counted in index order. An index list that steps evenly becomes a
+    slice, so its layer adds views instead of gathered copies.
+    """
+    layers = []
+    seen = np.zeros(n_groups, dtype=int)
+    for item, group in enumerate(group_of):
+        if seen[group] == len(layers):
+            layers.append(([], []))
+        layers[seen[group]][0].append(int(group))
+        layers[seen[group]][1].append(item)
+        seen[group] += 1
+    return n_groups, [(_as_slice(groups), _as_slice(items)) for groups, items in layers]
+
+
+def _as_slice(index: list):
+    """A list of ints as a slice when it steps evenly upward, else as an array."""
+    step = index[1] - index[0] if len(index) > 1 else 1
+    if step > 0 and all(b - a == step for a, b in zip(index, index[1:])):
+        return slice(index[0], index[-1] + 1, step)
+    return np.array(index)
+
+
+def _in_order_sums(rows: np.ndarray, plan: tuple) -> np.ndarray:
+    """Per-group sums of ``rows``, each starting at 0.0 and adding in row order.
+
+    ``plan`` is ``(n_groups, layers)`` from :func:`_sum_plan`. A group
+    without items sums to 0.0. These are the bits ``np.bincount`` gives.
+    """
+    n_groups, layers = plan
+    sums = np.zeros((n_groups,) + rows.shape[1:])
+    for groups, items in layers:
+        sums[groups] += rows[items]
+    return sums
 
 
 class RegionModel:
@@ -97,29 +144,38 @@ class RegionModel:
     also fine.
 
     The per-objective work is planned once here. :meth:`predict_matrix`
-    computes one ``(k, n_services)`` plane per service-level kind (response
-    time, throughput, reliability, availability), then fills the objective
-    matrix from three plans:
+    holds the configuration as ``(n_primitives + 1, K)``, one row per
+    primitive across the ``K`` candidate rows, computes capacity and one
+    ``(n_services, K)`` plane per service-level kind (response time,
+    throughput, reliability, availability), then fills an ``(m, K)``
+    objective matrix from three plans:
 
-    - an objective whose owner has no replicas reads its owner's column of
-      its kind's plane, and all such objectives are filled by one gather;
+    - an objective whose owner has no replicas reads its owner's row of its
+      kind's plane, and all such objectives are filled by one gather;
     - the objectives of an owner with replicas are filled together: the sum
-      of the members' throughput columns, and for the other kinds the
-      members' columns weighted by their share of the group's workload (a
-      plain mean when the group has no workload);
+      of the members' throughput rows, and for the other kinds the members'
+      rows weighted by their share of the group's workload (a plain mean
+      when the group has no workload);
     - a cost objective is one matrix-vector product of the configuration
       rows with its price vector.
 
-    The plans give the same bits a loop over objectives gives: for a single
+    It returns the ``(..., k, m)`` view of that matrix, without a copy. The
+    plans give the same bits a loop over objectives gives: for a single
     member, its workload share is exactly 1.0 and the mean or sum of one
     value is that value, and replica groups keep the per-objective products
-    and reductions.
+    and reductions. The per-PM CPU pressure and per-VM thread counts are
+    in-order additions of rows starting at 0.0, the sums ``np.bincount``
+    gives.
 
-    Every step is row by row except the matrix-vector products (replica
-    group weights and cost prices), whose summation order can follow the
-    number of rows. A stacked call therefore runs them once per ``(k, ...)``
-    slice, so each slice keeps the bits of a 2-D call on that slice alone;
-    the remaining steps run on all rows at once.
+    Every step is elementwise or an in-order sum except the matrix-vector
+    products, whose summation order can follow the number of rows and the
+    layout of the operand. So each keeps its operand as it was when the
+    pass was laid out by row, and runs once per ``(k, ...)`` slice of a
+    stacked call, so each slice keeps the bits of a 2-D call on that slice
+    alone. The cost products read row-major ``(k, n_primitives)``
+    configuration rows. The replica-group products read the members'
+    planes as ``(means, K, members)`` with strides ``(., 8, 8K)``: a
+    C-contiguous copy would make BLAS sum in another order.
     """
 
     def __init__(self, scenario: Scenario, region: Region, topology: Topology,
@@ -143,6 +199,13 @@ class RegionModel:
         self._all_index = {pid: i for i, pid in enumerate(self.all_pids)}
         self.region_pids = list(region.primitive_ids)
         self._region_cols = np.array([self._all_index[pid] for pid in self.region_pids])
+        # rows of _full_config's columns: the region's, then the rest and the zero row
+        self._region_rows = _as_slice(self._region_cols.tolist())
+        in_region = set(self.region_pids)
+        self._fixed_pids = [pid for pid in self.all_pids if pid not in in_region]
+        self._fixed_rows = np.array(
+            [self._all_index[pid] for pid in self._fixed_pids] + [len(self.all_pids)]
+        )
 
         vms = list(topology.vms)
         self._vm_ids = [vm.id for vm in vms]
@@ -181,6 +244,9 @@ class RegionModel:
         self._services_per_vm = np.bincount(self._vm_of_service, minlength=len(vms)).astype(float)
         self._services_per_vm[self._services_per_vm == 0] = 1.0
         self._n_pms = len(pm_ids)
+        # PM CPU pressure and VM thread counts, summed in VM and service order
+        self._pm_sums = _sum_plan(self._pm_of_vm, self._n_pms)
+        self._vm_sums = _sum_plan(self._vm_of_service, len(vms))
 
         # response-time reference per service for the reliability response
         rt_by_owner = {
@@ -252,28 +318,32 @@ class RegionModel:
         self._single_js = np.array(single_js, dtype=int)
         self._single_planes = np.array(single_planes, dtype=int)
         self._single_cols = np.array(single_cols, dtype=int)
+        # a group's averaged planes are read as planes[mean_planes[:, None], members]
         self._group_plans = [
             (members, np.array(sum_js, dtype=int), np.array(mean_js, dtype=int),
-             np.array(mean_planes, dtype=int))
+             (np.array(mean_planes, dtype=int)[:, None], members[None, :]))
             for members, sum_js, mean_js, mean_planes in groups.values()
         ]
 
     # -- batched core ------------------------------------------------------
 
-    def _full_config(self, values: np.ndarray, env) -> np.ndarray:
-        """Configuration rows over every primitive, plus one trailing zero column.
+    def _full_config(self, values: np.ndarray, env) -> tuple:
+        """The configuration over every primitive, plus one trailing zero.
 
-        A gather index of -1 (a VM or service without that primitive) reads
-        the zero column.
+        Returns ``(columns, rows)``: ``columns`` is ``(n_primitives + 1, K)``,
+        one row per primitive, and ``rows`` the same numbers as row-major
+        ``(K, n_primitives + 1)`` configuration rows. A gather index of -1 (a
+        VM or service without that primitive) reads the zero row.
         """
-        n = len(self.all_pids)
-        base = np.zeros(n + 1)
-        base[:n] = np.fromiter(
-            (env.current_configuration[pid] for pid in self.all_pids), dtype=float, count=n
+        fixed = np.zeros(len(self._fixed_pids) + 1)
+        fixed[:-1] = np.fromiter(
+            (env.current_configuration[pid] for pid in self._fixed_pids),
+            dtype=float, count=len(self._fixed_pids),
         )
-        full = np.repeat(base[None, :], values.shape[0], axis=0)
-        full[:, self._region_cols] = values
-        return full
+        columns = np.empty((len(self.all_pids) + 1, values.shape[0]))
+        columns[self._fixed_rows] = fixed[:, None]
+        columns[self._region_rows] = values.T
+        return columns, np.ascontiguousarray(columns.T)
 
     def _workloads(self, env) -> np.ndarray:
         return np.fromiter(
@@ -294,78 +364,73 @@ class RegionModel:
         Returns:
             float array of shape (..., k, len(region.objective_ids)), each
             (k, m) slice bit for bit what a call on that slice alone returns.
+            It is a view of objective-major memory: numpy reduces along an
+            axis in an order that follows the memory layout, so a caller
+            that sums floats across objectives copies to row-major first.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         lead = values.shape[:-1]
         values = values.reshape(-1, values.shape[-1])
-        k = values.shape[0]
         p = self.params
-        full = self._full_config(values, env)
+        config, rows = self._full_config(values, env)
         wl = self._workloads(env)
 
-        cap = full[:, self._cpu_col]
-        mem = full[:, self._mem_col]
-        thr = full[:, self._thr_col]
+        cap = config[self._cpu_col]
+        mem = config[self._mem_col]
+        thr = config[self._thr_col]
 
         vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
         cpu_demand = vm_wl * p.cpu_demand_per_req
-        usage = np.minimum(cap, cpu_demand[None, :])
-        # bincount adds each row's VMs in VM order, as a sequential sum would
-        row_base = np.arange(k)[:, None]
-        pressure = np.bincount(
-            (row_base * self._n_pms + self._pm_of_vm).ravel(),
-            weights=usage.ravel(), minlength=k * self._n_pms,
-        ).reshape(k, self._n_pms)
-        contention = np.maximum(1.0, pressure / p.cpu_contention_limit)
-        cpu_eff = cap / contention[:, self._pm_of_vm]
+        usage = np.minimum(cap, cpu_demand[:, None])
+        contention = np.maximum(1.0, _in_order_sums(usage, self._pm_sums) / p.cpu_contention_limit)
+        cpu_eff = cap / contention[self._pm_of_vm]
 
-        n_vms = len(self._vm_ids)
-        vm_threads = np.bincount(
-            (row_base * n_vms + self._vm_of_service).ravel(),
-            weights=thr.ravel(), minlength=k * n_vms,
-        ).reshape(k, n_vms)
         saturation = p.thread_sat_per_mb * mem
-        overload = np.maximum(0.0, vm_threads - saturation)
+        overload = np.maximum(0.0, _in_order_sums(thr, self._vm_sums) - saturation)
 
-        share = cpu_eff / self._services_per_vm[None, :]
+        share = cpu_eff / self._services_per_vm[:, None]
         capacity = (
-            p.cpu_rate * share[:, self._vm_of_service]
+            (p.cpu_rate * share)[self._vm_of_service]
             + p.thread_rate * thr
-            - p.overload_penalty * overload[:, self._vm_of_service]
+            - (p.overload_penalty * overload)[self._vm_of_service]
         )
         capacity = np.maximum(capacity, p.min_capacity)
 
         # one plane per service-level kind, in _PLANES order
-        planes = np.empty((4, k, len(self._service_ids)))
-        rt, tp = planes[0], planes[1]
-        rho = np.minimum(wl[None, :] / capacity, 0.99)
+        planes = np.empty((4,) + capacity.shape)
+        rt, tp, rel, avail = planes
+        rho = np.minimum(wl[:, None] / capacity, 0.99)
         np.divide(p.rt_base_ms, 1.0 - rho, out=rt)
-        np.minimum(wl[None, :], capacity, out=tp)
-        planes[2] = p.rel_slope * (self._rt_ref[None, :] - rt)
-        planes[3] = p.avail_slope * (p.avail_rt_ref_ms - rt)
-        planes[2:] = 100.0 * _sigmoid(planes[2:])
+        np.minimum(wl[:, None], capacity, out=tp)
+        np.subtract(self._rt_ref[:, None], rt, out=rel)
+        rel *= p.rel_slope
+        np.subtract(p.avail_rt_ref_ms, rt, out=avail)
+        avail *= p.avail_slope
+        scores = planes[2:]
+        _sigmoid(scores, out=scores)
+        scores *= 100.0
 
-        out = np.empty((k, len(self.objectives)))
-        out[:, self._single_js] = planes[self._single_planes, :, self._single_cols].T
-        for members, sum_js, mean_js, mean_planes in self._group_plans:
-            group = planes[:, :, members]
-            out[:, sum_js] = group[_PLANES[KIND_THROUGHPUT]].sum(axis=1)[:, None]
-            stacked = group[mean_planes]
+        out = np.empty((len(self.objectives), values.shape[0]))
+        out[self._single_js] = planes[self._single_planes, self._single_cols]
+        for members, sum_js, mean_js, mean_at in self._group_plans:
+            out[sum_js] = tp[members].sum(axis=0)
+            # strides (., 8, 8K), as the class docstring explains
+            stacked = planes[mean_at].transpose(0, 2, 1)
             w = wl[members]
             total = w.sum()
             if total <= 0.0:
-                means = stacked.mean(axis=2)
+                out[mean_js] = stacked.mean(axis=2)
             else:
                 # one matrix-vector product per slice, as for the costs below
-                per_slice = stacked.reshape(mean_planes.shape + lead + members.shape)
-                means = (per_slice @ (w / total)).reshape(mean_planes.size, k)
-            out[:, mean_js] = means.T
-        # one gemv per (k, n) slice, so each slice keeps the bits its own
-        # 2-D call gives: a gemv's summation order can follow its row count
-        columns = full.reshape(lead + (full.shape[1],))[..., :-1]
+                per_slice = stacked.reshape(mean_js.shape + lead + members.shape)
+                out[mean_js] = (per_slice @ (w / total)).reshape(mean_js.size, -1)
+        # one gemv per (k, n) slice of the row-major rows, so each slice
+        # keeps the bits its own 2-D call gives: a gemv's summation order can
+        # follow its row count
+        slices = rows.reshape(lead + (rows.shape[1],))[..., :-1]
         for j, prices in self._cost_plans:
-            out[:, j] = (columns @ prices).ravel()
-        return out.reshape(lead + (out.shape[1],))
+            out[j] = (slices @ prices).ravel()
+        return out.T.reshape(lead + (out.shape[0],))
 
     # -- convenience forms -------------------------------------------------
 

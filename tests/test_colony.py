@@ -555,10 +555,12 @@ def reference_optimize(model, env, current_row, grids, cfg, rng):
         found.append((kept_idx[kept], kept_vecs[kept], kept_viol[kept]))
         signed_h = np.where(kept, kept_vecs[np.arange(n_ant), ant_obj] * signs[ant_obj], -np.inf)
         for o in range(m):
-            members = np.flatnonzero((ant_obj == o) & kept)
-            if members.size == 0:
+            # only kept ants whose value is not NaN compete to lead
+            members = [a for a in range(n_ant)
+                       if ant_obj[a] == o and kept[a] and not np.isnan(signed_h[a])]
+            if not members:
                 continue
-            leader = members[int(np.argmax(signed_h[members]))]
+            leader = max(members, key=lambda a: (signed_h[a], -a))
             h_iter = float(kept_vecs[leader, o])
             if not have_global[o] or signs[o] * (h_iter - global_h[o]) > 0:
                 global_h[o] = h_iter
@@ -572,11 +574,14 @@ def reference_optimize(model, env, current_row, grids, cfg, rng):
     return archive, constructions, trails
 
 
-def hashed_model(n_prims, closing, nan_share):
+def hashed_model(n_prims, closing, nan_share, inf_share=0.0, levels=None):
     """Three objectives that scatter pseudo-randomly over the rows.
 
-    About ``closing`` of all rows meet every requirement, and about
-    ``nan_share`` of them predict NaN for the first objective.
+    About ``closing`` of all rows meet every requirement, about ``nan_share``
+    of them predict NaN for the first objective, and about ``inf_share``
+    predict -inf for the first and, independently, for the second. With
+    ``levels``, the first two objectives take one of that many finite
+    values, so equal values recur within and across blocks.
     """
     weights = np.array([12.9898, 78.233, 37.719, 4.581])[:n_prims]
 
@@ -586,8 +591,14 @@ def hashed_model(n_prims, closing, nan_share):
 
         def frac(shift):
             return np.modf(np.abs(np.sin(mixed + shift)) * 43758.5453)[0]
-        first = np.where(frac(3.0) < nan_share, np.nan, 10.0 * frac(0.0))
-        return np.stack([first, 5.0 * frac(1.0), frac(2.0)], axis=1)
+
+        def level(shift):
+            value = frac(shift)
+            return value if levels is None else np.floor(value * levels) / levels
+        first = np.where(frac(4.0) < inf_share, -np.inf, 10.0 * level(0.0))
+        first = np.where(frac(3.0) < nan_share, np.nan, first)
+        second = np.where(frac(5.0) < inf_share, -np.inf, 5.0 * level(1.0))
+        return np.stack([first, second, frac(2.0)], axis=1)
 
     return MappedModel(fn, ("min", "max", "min"), pids=[f"p{a}" for a in range(n_prims)],
                        thresholds=(np.inf, -np.inf, closing))
@@ -597,7 +608,7 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -607,13 +618,16 @@ def bits(a):
     max_iteration=st.integers(1, 3),
     closing=st.sampled_from((0.0, 0.001, 0.01, 0.1, 1.0)),
     nan_share=st.sampled_from((0.0, 0.0, 0.05)),
+    inf_share=st.sampled_from((0.0, 0.0, 0.05)),
+    levels=st.sampled_from((None, 2, 5)),
 )
 def test_block_construction_matches_round_by_round(
-        seed, sizes, max_ant, max_run, max_iteration, closing, nan_share):
+        seed, sizes, max_ant, max_run, max_iteration, closing, nan_share, inf_share, levels):
     # rounds close at varied points of a block: none, some or every ant
-    # closes, on grids of one value too; NaN objectives turn trails NaN
+    # closes, on grids of one value too; equal, infinite and NaN objective
+    # values test how a block's rounds are settled
     grids = [10.0 * a + np.arange(1.0, g + 1.0) for a, g in enumerate(sizes)]
-    model = hashed_model(len(grids), closing, nan_share)
+    model = hashed_model(len(grids), closing, nan_share, inf_share, levels)
     current = np.array([g[0] for g in grids])
     cfg = moaco_cfg(max_ant=max_ant, max_run=max_run, max_iteration=max_iteration)
     rng = np.random.default_rng(seed)
@@ -627,6 +641,26 @@ def test_block_construction_matches_round_by_round(
     assert np.array_equal(archive.violations, expected.violations)
     assert stats.constructions == constructions
     assert np.array_equal(bits(stats.trails), bits(trails))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # a NaN objective value leads no trail update
+    assert np.isfinite(stats.trails).all()
+
+
+def test_block_cap_carries_across_iterations():
+    # ants close in the first rounds of every iteration here, so a block
+    # sized anew each iteration would evaluate 2,984 rows for 292 constructions
+    runtime = toy_runtime(130.0)
+    cfg = moaco_cfg(max_ant=40, max_run=30, max_iteration=3)
+    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+    stats = OptimizeStats()
+    archive = optimize(runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng,
+                       stats=stats)
+    expected, constructions, _ = reference_optimize(
+        runtime.model, runtime.env, runtime.current, runtime.grids, cfg, oracle_rng)
+    assert stats.constructions == constructions == 292
+    assert stats.rows_evaluated == 1384
+    assert np.array_equal(archive.rows, expected.rows)
+    assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 

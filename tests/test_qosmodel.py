@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antscale.domain import ConfigError, Decision, is_replica, scenario_from_dict
-from antscale.qosmodel import ModelParams, RegionModel, _sigmoid, demand, utilization
+from antscale.qosmodel import (
+    ModelParams,
+    RegionModel,
+    _in_order_sums,
+    _sigmoid,
+    _sum_plan,
+    demand,
+    utilization,
+)
 from antscale.simulator import EnvironmentState, Simulator
 from conftest import smoke_doc, triple_doc
 
@@ -359,6 +367,44 @@ def test_predict_matrix_matches_the_per_objective_oracle(case, k, seed, loads):
     assert np.array_equal(
         bits(model.predict_matrix(rows, env)), bits(reference_predict_matrix(model, rows, env))
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    group_of=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_order_sums_match_bincount(group_of, k, seed):
+    # uneven layouts (index arrays, not slices), empty groups, and values of
+    # mixed magnitude, whose sums show any change of order
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(group_of), k)) * 10.0 ** rng.integers(-8, 9, (len(group_of), 1))
+    group_of = np.array(group_of)
+    expected = np.bincount(
+        (np.arange(k)[:, None] * 5 + group_of).ravel(), weights=rows.T.ravel(), minlength=5 * k,
+    ).reshape(k, 5).T
+    assert np.array_equal(bits(_in_order_sums(rows, _sum_plan(group_of, 5))), bits(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+def test_predict_matrix_reads_non_contiguous_values(case, k, seed, loads):
+    # the model lays the configuration out by primitive; row-major, column-
+    # major and strided views of the same rows must give the same bits
+    model, rows, env = oracle_inputs(case, k, seed, loads)
+    rows = rows.astype(float)
+    expected = bits(reference_predict_matrix(model, rows, env))
+    transposed = np.ascontiguousarray(rows.T).T
+    strided = np.repeat(rows, 2, axis=0)[::2]
+    for values in (transposed, strided):
+        assert k == 1 or not values.flags.c_contiguous
+        assert np.array_equal(bits(model.predict_matrix(values, env)), expected)
 
 
 @settings(max_examples=40, deadline=None)

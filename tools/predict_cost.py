@@ -10,6 +10,8 @@ primitives)`` rows, and the selection cdfs that block was drawn from. Then:
   are timed at k = 1, 150 and 1500 rows per 2-D call, and as one stacked
   call of 6 rounds of 150 ants (``k_6x150``, 900 rows), the colony's block
   shape while 150 ants are open;
+- ``violation_counts_us_per_call``: ``RegionModel.violation_counts`` on the
+  objectives that ``k_6x150`` call returns, as the colony counts a block;
 - ``ant_sampling_us_per_round``: 150 ants, one per objective in turn, draw
   one round from those cdfs, by the ``argmax(cdf >= u)`` comparison the
   colony drew with before its guide table (``comparison``) and by
@@ -101,6 +103,12 @@ def predict_costs(model, block, env) -> dict:
     return costs
 
 
+def violation_costs(model, block, env) -> dict:
+    rows = block.reshape(-1, block.shape[-1])
+    vectors = model.predict_matrix(np.resize(rows, (ROUNDS, ANTS, rows.shape[1])), env)
+    return {f"k_{ROUNDS}x{ANTS}": us_per_call(lambda: model.violation_counts(vectors), 1000)}
+
+
 def sampling_costs(cdf) -> dict:
     objs = np.arange(ANTS) % cdf.shape[0]
     u = np.random.default_rng(0).random((ROUNDS, ANTS, cdf.shape[1]))
@@ -116,16 +124,20 @@ def sampling_costs(cdf) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         captured = capture(Path(tmp))
-    predict, sampling = {}, {}
+    predict, violations, sampling = {}, {}, {}
     for n_prims, (model, block, env, cdf) in sorted(captured.items()):
         predict[f"primitives_{n_prims}"] = {
             k: round(v, 1) for k, v in predict_costs(model, block, env).items()
+        }
+        violations[f"primitives_{n_prims}"] = {
+            k: round(v, 1) for k, v in violation_costs(model, block, env).items()
         }
         sampling[f"primitives_{n_prims}_ants_{ANTS}"] = {
             k: round(v, 1) for k, v in sampling_costs(cdf).items()
         }
     print(json.dumps({
-        "predict_matrix_us_per_call": predict, "ant_sampling_us_per_round": sampling,
+        "predict_matrix_us_per_call": predict, "violation_counts_us_per_call": violations,
+        "ant_sampling_us_per_round": sampling,
     }))
     return 0
 
