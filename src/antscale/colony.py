@@ -22,6 +22,16 @@ which some ant closes ends the block, and the rounds up to it are settled in
 one array step that keeps what settling them in order would keep. The random
 draws of the rounds after it are given back, so the colony makes the same
 draws, and the same decisions, as it would round by round.
+
+When the model certifies some requirement unattainable on the grids
+(``RegionModel.unattainable``), no ant can close, and an ant's retries only
+decide which round it keeps: the first holding its best own-objective value.
+Construction then draws each ant's footprint alone (the primitives its
+objective reads), evaluates its objective alone, and keeps the uniforms of
+the round it would keep. Once per iteration the kept rows are drawn in full
+and evaluated, with the bits their rounds gave. The generator makes the same
+draws, so the two paths build the same archive; which one runs follows from
+each decision's model, grids and workloads.
 """
 
 import math
@@ -36,6 +46,10 @@ from .dominance import DecisionArchive
 EPS = 1e-9
 # model rows per speculative block of construction rounds (see optimize)
 BLOCK_ROWS = 900
+# rows per block of footprint-only construction, where no round is discarded:
+# on three seed-1 triple_vm decisions, blocks of 2,700 to 5,400 rows built
+# ants in 32-60 ms and blocks of 900 rows in 57-92 ms (2 shared cores)
+FOOTPRINT_BLOCK_ROWS = 3000
 # buckets per grid of the sampler's guide table; a power of two, so that
 # scaling a uniform or a cdf value by it is exact
 GUIDE_BUCKETS = 256
@@ -166,14 +180,18 @@ class GuideSampler:
         )
         grid = np.arange(m * n_prims).reshape(m, n_prims)
         # floor(cdf * B) lies in [0, B], and a point at 1.0 sits past every
-        # bucket; counting each point one place up, a running sum over places
-        # 0..B gives lo
+        # bucket. Along a grid the buckets do not decrease, so the last point
+        # of each run of equal buckets writes the count of points up to it one
+        # place past its bucket, and a running maximum over places 0..B gives
+        # lo, all in the table's own narrow dtype
         point_bucket = (np.where(regular[:, :, None], cdf, 0.0) * buckets).astype(np.intp)
-        counts = np.bincount(
-            (grid[:, :, None] * (buckets + 2) + point_bucket + 1).ravel(),
-            minlength=grid.size * (buckets + 2),
-        ).reshape(m, n_prims, buckets + 2)
-        self._lo = counts[:, :, :-1].cumsum(axis=2, dtype=np.min_scalar_type(slots)).ravel()
+        point_bucket = point_bucket.reshape(grid.size, slots)
+        run_end = np.ones(point_bucket.shape, dtype=bool)
+        np.not_equal(point_bucket[:, 1:], point_bucket[:, :-1], out=run_end[:, :-1])
+        grids, points = np.nonzero(run_end)
+        marks = np.zeros((grid.size, buckets + 2), dtype=np.min_scalar_type(slots))
+        marks[grids, point_bucket[grids, points] + 1] = points + 1
+        self._lo = np.maximum.accumulate(marks[:, :-1], axis=1).ravel()
         self._cdf = np.ascontiguousarray(cdf).ravel()
         self._slots = slots
         self._table_base = grid * (buckets + 1)
@@ -184,14 +202,23 @@ class GuideSampler:
 
         Ant ``a`` draws from objective ``objs[a]``'s distributions.
         """
-        key = self._table_base[objs] + (u * GUIDE_BUCKETS).astype(np.intp)
+        return self.draw_at(u, objs[:, None], np.arange(u.shape[-1]))
+
+    def draw_at(self, u: np.ndarray, objs: np.ndarray, prims: np.ndarray) -> np.ndarray:
+        """Grid indices for uniforms ``u`` of shape ``(..., n)``.
+
+        Entry ``i`` draws from objective ``objs[i]``'s distribution over
+        primitive ``prims[i]``'s grid (``objs`` and ``prims`` broadcast to
+        ``u.shape[-n:]``). Each draw depends on its own uniform alone.
+        """
+        key = self._table_base[objs, prims] + (u * GUIDE_BUCKETS).astype(np.intp)
         lo = self._lo[key]
         hi = self._lo[key + 1]
         if self._irregular is not None:
-            irregular = self._irregular[objs]
+            irregular = self._irregular[objs, prims]
             lo = np.where(irregular, 0, lo)
             hi = np.where(irregular, self._slots, hi)
-        idx = lo.astype(np.intp)
+        idx = lo.astype(np.intp, order="C")     # so that flat below is a view
         pos = np.flatnonzero(lo != hi)
         if pos.size:
             flat = idx.reshape(-1)
@@ -271,12 +298,14 @@ def _settle(h: np.ndarray, kept: np.ndarray, kept_h: np.ndarray, ok: np.ndarray)
 class OptimizeStats:
     """Phase timings and counters filled in by :func:`optimize`."""
 
+    unattainable: list = field(default_factory=list)   # objective ids certified unattainable
+    footprint_only: bool = False  # construction drew and evaluated footprints only
     heuristic_seconds: float = 0.0
     construction_seconds: float = 0.0
     update_seconds: float = 0.0
     iterations: int = 0
     constructions: int = 0
-    model_calls: int = 0          # predict_matrix calls, the heuristic's included
+    model_calls: int = 0          # predict_matrix and own_objective calls, heuristic's too
     rows_evaluated: int = 0       # their rows, discarded speculative rounds included
     trails: np.ndarray | None = None       # (m, n_prims, G_max)
     tau_min: np.ndarray | None = None      # per-objective trail floor
@@ -300,6 +329,10 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     closes are settled (:func:`_settle`); the generator is then rewound and
     re-drawn for exactly the rounds settled, so the draws, the archive and
     the final generator state are those of a round-by-round construction.
+    When ``model.unattainable`` flags a requirement, every ant uses every
+    retry, and construction is footprint-only (see the module docstring):
+    blocks of about ``FOOTPRINT_BLOCK_ROWS`` rows of
+    ``model.own_objective`` values, then one model call for the kept rows.
     An objective's trails are updated from the kept ants whose value for it
     is not NaN; without any, they only keep their bounds. The wall-clock
     budget is checked between blocks; on expiry the archive accumulated so
@@ -319,6 +352,19 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
 
     heuristic = compute_heuristics(model, env, current_row, values, valid)
     t_heur = time.perf_counter() - start
+    unattainable = model.unattainable(env, grids)
+    footprint_only = bool(unattainable.any())
+    if footprint_only:
+        fp_ants, fp_prims = np.nonzero(model.footprints[ant_obj])
+        fp_objs = ant_obj[fp_ants]
+        fp_cells = fp_ants * n_prims + fp_prims         # in one round's (n_ant, n_prims)
+        fp_slots = fp_prims * values.shape[1]           # in values.ravel()
+        grid_values = values.ravel()
+        # a primitive outside an ant's footprint stays 0.0, which its
+        # objective reads at most times a zero price
+        footprint_rows = np.zeros(
+            (min(cfg.max_run, max(1, FOOTPRINT_BLOCK_ROWS // n_ant)), n_ant, n_prims)
+        )
     # compute_heuristics' two calls: one row per grid value, then the live row
     model_calls = 2
     rows_evaluated = int(valid.sum()) + 1
@@ -352,44 +398,77 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         done = np.zeros(n_ant, dtype=bool)
 
         rounds_left = cfg.max_run
-        while rounds_left and not done.all():
-            open_ants = np.flatnonzero(~done)
-            n_open = open_ants.size
-            n_rounds = min(rounds_left, reach, max(1, BLOCK_ROWS // n_open))
-            rewind = rng.bit_generator.state if n_rounds > 1 else None
-            u = rng.random((n_rounds, n_open, n_prims))
-            objs = ant_obj[open_ants]
-            block_idx = sampler.draw(u, objs)
-            block_vecs = model.predict_matrix(values[prims, block_idx], env)
-            block_viols = model.violation_counts(block_vecs)
+        if footprint_only:
+            # no ant can close (done stays False), so each keeps the first
+            # round holding its best value: draw its footprint alone,
+            # evaluate its objective alone, and keep that round's uniforms
+            kept_u = np.zeros((n_ant, n_prims))
+            while rounds_left:
+                n_rounds = min(rounds_left, footprint_rows.shape[0])
+                u = rng.random((n_rounds, n_ant, n_prims))
+                block = footprint_rows[:n_rounds]
+                drawn = sampler.draw_at(u.reshape(n_rounds, -1)[:, fp_cells], fp_objs, fp_prims)
+                block.reshape(n_rounds, -1)[:, fp_cells] = grid_values[fp_slots + drawn]
+                h = model.own_objective(block, env, ant_obj) * signs[ant_obj]
+                pick, take = _settle(h, kept, kept_h, done)
+                slot = np.flatnonzero(take)
+                pick = pick[slot]
+                kept_u[slot] = u[pick, slot]
+                kept_h[slot] = h[pick, slot]
+                kept[slot] = True
+                model_calls += 1
+                rows_evaluated += n_rounds * n_ant
+                constructions += n_rounds * n_ant
+                rounds_left -= n_rounds
+                if deadline is not None and time.perf_counter() > deadline:
+                    out_of_time = True
+                    break
+            # the kept rows in full, each at its ant's place in a batch of
+            # n_ant rows as in its round, so with the bits that round gave
+            kept_idx = sampler.draw(kept_u, ant_obj)
+            kept_vecs = np.ascontiguousarray(model.predict_matrix(values[prims, kept_idx], env))
+            kept_viol = model.violation_counts(kept_vecs)
             model_calls += 1
-            rows_evaluated += n_rounds * n_open
-            closing = (block_viols == 0).any(axis=1)
-            used = int(closing.argmax()) + 1 if closing.any() else n_rounds
-            ok = block_viols[used - 1] == 0
-            h = block_vecs[:used, np.arange(n_open), objs] * signs[objs]
-            pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
-            slot = np.flatnonzero(take)
-            pick = pick[slot]
-            improved = open_ants[slot]
-            kept_idx[improved] = block_idx[pick, slot]
-            kept_vecs[improved] = block_vecs[pick, slot]
-            kept_viol[improved] = block_viols[pick, slot]
-            kept_h[improved] = h[pick, slot]
-            kept[improved] = True
-            done[open_ants[ok]] = True
-            constructions += used * n_open
-            # closings come in runs, so a block that closed early shortens
-            # the next, and one that did not lets the next grow
-            reach = 2 * used
-            rounds_left -= used
-            if used < n_rounds:
-                # give back the draws of the rounds after the closing one
-                rng.bit_generator.state = rewind
-                rng.random((used, n_open, n_prims))
-            if deadline is not None and time.perf_counter() > deadline:
-                out_of_time = True
-                break
+            rows_evaluated += n_ant
+        else:
+            while rounds_left and not done.all():
+                open_ants = np.flatnonzero(~done)
+                n_open = open_ants.size
+                n_rounds = min(rounds_left, reach, max(1, BLOCK_ROWS // n_open))
+                rewind = rng.bit_generator.state if n_rounds > 1 else None
+                u = rng.random((n_rounds, n_open, n_prims))
+                objs = ant_obj[open_ants]
+                block_idx = sampler.draw(u, objs)
+                block_vecs = model.predict_matrix(values[prims, block_idx], env)
+                block_viols = model.violation_counts(block_vecs)
+                model_calls += 1
+                rows_evaluated += n_rounds * n_open
+                closing = (block_viols == 0).any(axis=1)
+                used = int(closing.argmax()) + 1 if closing.any() else n_rounds
+                ok = block_viols[used - 1] == 0
+                h = block_vecs[:used, np.arange(n_open), objs] * signs[objs]
+                pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
+                slot = np.flatnonzero(take)
+                pick = pick[slot]
+                improved = open_ants[slot]
+                kept_idx[improved] = block_idx[pick, slot]
+                kept_vecs[improved] = block_vecs[pick, slot]
+                kept_viol[improved] = block_viols[pick, slot]
+                kept_h[improved] = h[pick, slot]
+                kept[improved] = True
+                done[open_ants[ok]] = True
+                constructions += used * n_open
+                # closings come in runs, so a block that closed early shortens
+                # the next, and one that did not lets the next grow
+                reach = 2 * used
+                rounds_left -= used
+                if used < n_rounds:
+                    # give back the draws of the rounds after the closing one
+                    rng.bit_generator.state = rewind
+                    rng.random((used, n_open, n_prims))
+                if deadline is not None and time.perf_counter() > deadline:
+                    out_of_time = True
+                    break
         t_construct += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -420,6 +499,8 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     indices, vectors, violations = (np.concatenate(part) for part in zip(*found))
     archive = DecisionArchive(model.region_pids, values[prims, indices], vectors, violations)
     if stats is not None:
+        stats.unattainable = [oid for oid, u in zip(model.objective_ids, unattainable) if u]
+        stats.footprint_only = footprint_only
         stats.heuristic_seconds = t_heur
         stats.construction_seconds = t_construct
         stats.update_seconds = t_update

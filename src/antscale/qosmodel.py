@@ -18,9 +18,15 @@ long contiguous rows of one quantity across all candidates. Batches may also
 be stacked, ``(..., k, n_primitives)``: the colony evaluates several rounds
 of its ants in one call, and each ``(k, n_primitives)`` slice gets the bits a
 call of its own would give.
+
+The model also owns what the colony may skip. ``RegionModel.footprints``
+says which primitives each objective reads, ``own_objective`` evaluates one
+objective per row from its footprint with the bits ``predict_matrix`` gives,
+and ``unattainable`` certifies, from best-case bounds over the grids, the
+requirements that no decision can meet.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,6 +51,9 @@ from .domain import (
 RES_CPU = "cpu"
 RES_MEMORY = "memory"
 RES_THREAD = "thread"
+# relative slack by which a best-case bound must miss a threshold before
+# RegionModel.unattainable flags it, far above any rounding in the model
+UNATTAINABLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,74 @@ def _in_order_sums(rows: np.ndarray, plan: tuple) -> np.ndarray:
     return sums
 
 
+def _in_order_rows(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, starting at 0.0 and adding in order.
+
+    The bits of :func:`_in_order_sums` for a group whose items are these
+    terms; trailing ``+0.0`` terms, padding, leave them unchanged.
+    """
+    sums = np.zeros(terms.shape[:-1])
+    for i in range(terms.shape[-1]):
+        sums += terms[..., i]
+    return sums
+
+
+def _capacity_terms(p: ModelParams, cap, pressure, services, mem, threads) -> tuple:
+    """``(cpu_rate * share, overload_penalty * overload)`` of a VM, elementwise.
+
+    ``cap`` is the VM's CPU, ``pressure`` its PM's summed CPU use, ``services``
+    the services it hosts, ``mem`` its memory and ``threads`` its summed
+    service threads. The two terms of every service's capacity that its VM
+    sets, whichever shape the arrays share.
+    """
+    contention = np.maximum(1.0, pressure / p.cpu_contention_limit)
+    share = cap / contention / services
+    overload = np.maximum(0.0, threads - p.thread_sat_per_mb * mem)
+    return p.cpu_rate * share, p.overload_penalty * overload
+
+
+def _service_planes(p: ModelParams, cpu_term, thr, overload_term, wl, rt_ref) -> np.ndarray:
+    """Capacity and the four per-service planes, in ``_PLANES`` order.
+
+    Elementwise over arrays of one shape (``wl`` and ``rt_ref`` may
+    broadcast): the service's VM terms from :func:`_capacity_terms`, its
+    threads, its workload and its response-time reference. Returns
+    ``(4,) + shape``. :meth:`RegionModel.predict_matrix` calls it on
+    ``(n_services, K)`` arrays, :meth:`RegionModel.own_objective` on one
+    entry per row and member, and :meth:`RegionModel.unattainable` on the
+    best case of each service; every step is the same IEEE operation.
+    """
+    capacity = np.maximum(cpu_term + p.thread_rate * thr - overload_term, p.min_capacity)
+    planes = np.empty((4,) + capacity.shape)
+    rt, tp, rel, avail = planes
+    rho = np.minimum(wl / capacity, 0.99)
+    np.divide(p.rt_base_ms, 1.0 - rho, out=rt)
+    np.minimum(wl, capacity, out=tp)
+    np.subtract(rt_ref, rt, out=rel)
+    rel *= p.rel_slope
+    np.subtract(p.avail_rt_ref_ms, rt, out=avail)
+    avail *= p.avail_slope
+    scores = planes[2:]
+    _sigmoid(scores, out=scores)
+    scores *= 100.0
+    return planes
+
+
+def _member_means(stacked: np.ndarray, w: np.ndarray, lead: tuple) -> np.ndarray:
+    """Workload-weighted means over the members axis of ``(..., K, members)``.
+
+    A plain mean when the members carry no workload. Otherwise one
+    matrix-vector product per ``(k, members)`` slice of the ``lead`` batch
+    shape, whose bits depend on the layout of ``stacked``: both callers
+    pass a view with strides ``(., 8, 8K)`` (see :class:`RegionModel`).
+    """
+    total = w.sum()
+    if total <= 0.0:
+        return stacked.mean(axis=-1)
+    per_slice = stacked.reshape(stacked.shape[:-2] + lead + stacked.shape[-1:])
+    return (per_slice @ (w / total)).reshape(stacked.shape[:-1])
+
+
 class RegionModel:
     """Batched evaluator for one region's objectives against a topology snapshot.
 
@@ -175,7 +252,15 @@ class RegionModel:
     alone. The cost products read row-major ``(k, n_primitives)``
     configuration rows. The replica-group products read the members'
     planes as ``(means, K, members)`` with strides ``(., 8, 8K)``: a
-    C-contiguous copy would make BLAS sum in another order.
+    C-contiguous copy would make BLAS sum in another order. A row's bits
+    depend only on its values, its position in its slice and the slice's
+    row count, not on the other rows.
+
+    :meth:`own_objective` evaluates one objective per row from the same
+    steps (:func:`_capacity_terms`, :func:`_service_planes`,
+    :func:`_member_means`) on per-row gathers; :attr:`footprints` holds the
+    region primitives each objective reads; :meth:`unattainable` bounds each
+    requirement over the grids.
     """
 
     def __init__(self, scenario: Scenario, region: Region, topology: Topology,
@@ -199,7 +284,7 @@ class RegionModel:
         self._all_index = {pid: i for i, pid in enumerate(self.all_pids)}
         self.region_pids = list(region.primitive_ids)
         self._region_cols = np.array([self._all_index[pid] for pid in self.region_pids])
-        # rows of _full_config's columns: the region's, then the rest and the zero row
+        # columns of _config_rows: the region's, then the rest and the zero
         self._region_rows = _as_slice(self._region_cols.tolist())
         in_region = set(self.region_pids)
         self._fixed_pids = [pid for pid in self.all_pids if pid not in in_region]
@@ -325,25 +410,62 @@ class RegionModel:
             for members, sum_js, mean_js, mean_planes in groups.values()
         ]
 
+        # what a service's planes read of a configuration row, as full-config
+        # columns: the CPU of every VM on its PM, padded to the widest PM, its
+        # VM's CPU and memory, the threads of every service on its VM, padded
+        # likewise, and its own threads; padding reads the zero column
+        n_cols = len(self.all_pids)
+        cpu_cols, mem_cols, thr_cols = (
+            np.where(c < 0, n_cols, c) for c in (self._cpu_col, self._mem_col, self._thr_col)
+        )
+        on_pm = [np.flatnonzero(self._pm_of_vm == pm) for pm in range(self._n_pms)]
+        on_vm = [np.flatnonzero(self._vm_of_service == vm) for vm in range(len(vms))]
+        self._pm_width = max(map(len, on_pm), default=0)
+        vm_width = max(map(len, on_vm), default=0)
+        unit_cols, unit_peers = [], []
+        for s, vm in enumerate(self._vm_of_service):
+            peers, mates = on_pm[self._pm_of_vm[vm]], on_vm[vm]
+            # the VM index past the last reads a CPU demand of 0.0
+            unit_peers.append(np.append(peers, [len(vms)] * (self._pm_width - len(peers))))
+            unit_cols.append(np.concatenate([
+                cpu_cols[peers], [n_cols] * (self._pm_width - len(peers)),
+                [cpu_cols[vm], mem_cols[vm]],
+                thr_cols[mates], [n_cols] * (vm_width - len(mates)),
+                [thr_cols[s]],
+            ]))
+        self._unit_cols = np.array(unit_cols, dtype=int).reshape(len(services), -1)
+        self._unit_peers = np.array(unit_peers, dtype=int).reshape(len(services), -1)
+
+        # footprints[j, c]: objective j reads region column c (own_objective)
+        region_of = np.full(n_cols + 1, -1)
+        region_of[self._region_cols] = np.arange(len(self.region_pids))
+        self.footprints = np.zeros((len(self.objectives), len(self.region_pids)), dtype=bool)
+        for j, (obj, members) in enumerate(zip(self.objectives, self._member_idx)):
+            if obj.kind in _PLANES:
+                read = region_of[self._unit_cols[members]]
+            else:
+                read = region_of[np.flatnonzero(self._cost_cols[j])]
+            self.footprints[j, read[read >= 0]] = True
+        self._own_plans = {}    # objs.tobytes() -> plan, see _own_plan
+
     # -- batched core ------------------------------------------------------
 
-    def _full_config(self, values: np.ndarray, env) -> tuple:
+    def _config_rows(self, values: np.ndarray, env) -> np.ndarray:
         """The configuration over every primitive, plus one trailing zero.
 
-        Returns ``(columns, rows)``: ``columns`` is ``(n_primitives + 1, K)``,
-        one row per primitive, and ``rows`` the same numbers as row-major
-        ``(K, n_primitives + 1)`` configuration rows. A gather index of -1 (a
-        VM or service without that primitive) reads the zero row.
+        Returns row-major ``(K, n_primitives + 1)`` configuration rows for
+        ``(K, n_region)`` values. A gather index of -1 (a VM or service
+        without that primitive) reads the zero.
         """
         fixed = np.zeros(len(self._fixed_pids) + 1)
         fixed[:-1] = np.fromiter(
             (env.current_configuration[pid] for pid in self._fixed_pids),
             dtype=float, count=len(self._fixed_pids),
         )
-        columns = np.empty((len(self.all_pids) + 1, values.shape[0]))
-        columns[self._fixed_rows] = fixed[:, None]
-        columns[self._region_rows] = values.T
-        return columns, np.ascontiguousarray(columns.T)
+        rows = np.empty((values.shape[0], len(self.all_pids) + 1))
+        rows[:, self._fixed_rows] = fixed
+        rows[:, self._region_rows] = values
+        return rows
 
     def _workloads(self, env) -> np.ndarray:
         return np.fromiter(
@@ -372,7 +494,9 @@ class RegionModel:
         lead = values.shape[:-1]
         values = values.reshape(-1, values.shape[-1])
         p = self.params
-        config, rows = self._full_config(values, env)
+        rows = self._config_rows(values, env)
+        # (n_primitives + 1, K): one row per primitive
+        config = np.ascontiguousarray(rows.T)
         wl = self._workloads(env)
 
         cap = config[self._cpu_col]
@@ -380,50 +504,24 @@ class RegionModel:
         thr = config[self._thr_col]
 
         vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
-        cpu_demand = vm_wl * p.cpu_demand_per_req
-        usage = np.minimum(cap, cpu_demand[:, None])
-        contention = np.maximum(1.0, _in_order_sums(usage, self._pm_sums) / p.cpu_contention_limit)
-        cpu_eff = cap / contention[self._pm_of_vm]
-
-        saturation = p.thread_sat_per_mb * mem
-        overload = np.maximum(0.0, _in_order_sums(thr, self._vm_sums) - saturation)
-
-        share = cpu_eff / self._services_per_vm[:, None]
-        capacity = (
-            (p.cpu_rate * share)[self._vm_of_service]
-            + p.thread_rate * thr
-            - (p.overload_penalty * overload)[self._vm_of_service]
+        usage = np.minimum(cap, (vm_wl * p.cpu_demand_per_req)[:, None])
+        pressure = _in_order_sums(usage, self._pm_sums)[self._pm_of_vm]
+        cpu_term, overload_term = _capacity_terms(
+            p, cap, pressure, self._services_per_vm[:, None], mem,
+            _in_order_sums(thr, self._vm_sums),
         )
-        capacity = np.maximum(capacity, p.min_capacity)
-
-        # one plane per service-level kind, in _PLANES order
-        planes = np.empty((4,) + capacity.shape)
-        rt, tp, rel, avail = planes
-        rho = np.minimum(wl[:, None] / capacity, 0.99)
-        np.divide(p.rt_base_ms, 1.0 - rho, out=rt)
-        np.minimum(wl[:, None], capacity, out=tp)
-        np.subtract(self._rt_ref[:, None], rt, out=rel)
-        rel *= p.rel_slope
-        np.subtract(p.avail_rt_ref_ms, rt, out=avail)
-        avail *= p.avail_slope
-        scores = planes[2:]
-        _sigmoid(scores, out=scores)
-        scores *= 100.0
+        planes = _service_planes(
+            p, cpu_term[self._vm_of_service], thr, overload_term[self._vm_of_service],
+            wl[:, None], self._rt_ref[:, None],
+        )
+        tp = planes[_PLANES[KIND_THROUGHPUT]]
 
         out = np.empty((len(self.objectives), values.shape[0]))
         out[self._single_js] = planes[self._single_planes, self._single_cols]
         for members, sum_js, mean_js, mean_at in self._group_plans:
             out[sum_js] = tp[members].sum(axis=0)
             # strides (., 8, 8K), as the class docstring explains
-            stacked = planes[mean_at].transpose(0, 2, 1)
-            w = wl[members]
-            total = w.sum()
-            if total <= 0.0:
-                out[mean_js] = stacked.mean(axis=2)
-            else:
-                # one matrix-vector product per slice, as for the costs below
-                per_slice = stacked.reshape(mean_js.shape + lead + members.shape)
-                out[mean_js] = (per_slice @ (w / total)).reshape(mean_js.size, -1)
+            out[mean_js] = _member_means(planes[mean_at].transpose(0, 2, 1), wl[members], lead)
         # one gemv per (k, n) slice of the row-major rows, so each slice
         # keeps the bits its own 2-D call gives: a gemv's summation order can
         # follow its row count
@@ -431,6 +529,180 @@ class RegionModel:
         for j, prices in self._cost_plans:
             out[j] = (slices @ prices).ravel()
         return out.T.reshape(lead + (out.shape[0],))
+
+    def _own_plan(self, objs: np.ndarray) -> tuple:
+        """How :meth:`own_objective` reads each row's objective, built once per ``objs``.
+
+        A unit is one member service of one row's objective. Returns
+        ``(gather, peers, services, singles, groups, costs)``: per unit its
+        :attr:`_unit_cols` as flat indices into one slice of configuration
+        rows, its PM's VMs and its service; the rows, units and planes of
+        the objectives whose owner has no replicas; per replica group
+        ``(members, n_means, n_slots, slots, rows, planes, units)``, one
+        slot per objective of the group, its averaged kinds first, and per
+        row that reads the group its slot, plane and ``(members, rows)``
+        units; per cost objective its rows and price vector.
+        """
+        key = objs.tobytes()
+        if key in self._own_plans:
+            return self._own_plans[key]
+        rows_of = [np.flatnonzero(objs == j) for j in range(len(self.objectives))]
+
+        def rows_and_slots(js):
+            slots = np.repeat(np.arange(len(js)), [rows_of[j].size for j in js])
+            return np.concatenate([rows_of[j] for j in js] + [slots[:0]]), slots
+
+        single_rows, single_slots = rows_and_slots(self._single_js)
+        unit_rows = [single_rows]
+        unit_services = [self._single_cols[single_slots]]
+        singles = (single_rows, np.arange(single_rows.size), self._single_planes[single_slots])
+        groups = []
+        for members, sum_js, mean_js, (mean_planes, _) in self._group_plans:
+            rows, slots = rows_and_slots(np.concatenate([mean_js, sum_js]))
+            if rows.size == 0:
+                continue
+            first = sum(map(len, unit_rows))
+            units = first + np.arange(members.size * rows.size).reshape(members.size, rows.size)
+            unit_rows.append(np.tile(rows, members.size))
+            unit_services.append(np.repeat(members, rows.size))
+            planes = np.append(mean_planes[:, 0], [_PLANES[KIND_THROUGHPUT]] * sum_js.size)
+            groups.append((members, mean_js.size, planes.size, slots, rows, planes[slots], units))
+        costs = [(rows_of[j], prices) for j, prices in self._cost_plans if rows_of[j].size]
+        services = np.concatenate(unit_services)
+        gather = np.concatenate(unit_rows)[:, None] * (len(self.all_pids) + 1)
+        gather = gather + self._unit_cols[services]
+        plan = (gather, self._unit_peers[services], services, singles, groups, costs)
+        self._own_plans[key] = plan
+        return plan
+
+    def own_objective(self, values: np.ndarray, env, objs: np.ndarray) -> np.ndarray:
+        """Each row's value for one objective, ``objs[a]`` for row ``a`` of a slice.
+
+        Args:
+            values: array of shape (..., k, len(region.primitive_ids)), as
+                :meth:`predict_matrix` takes it; every entry finite.
+            env: environment snapshot, as for :meth:`predict_matrix`.
+            objs: length-k objective index per row of each ``(k, n)`` slice.
+
+        Returns:
+            float array of shape (..., k): entry ``[..., a]`` is
+            ``predict_matrix(values, env)[..., a, objs[a]]`` bit for bit.
+            It depends only on the row's columns in ``footprints[objs[a]]``
+            (a cost row's other columns have price zero), and on nothing
+            else in the batch but the slice's shape and the row's position
+            in it.
+
+        Only the rows' member services get capacity and planes, one unit
+        each, from their footprint columns through the steps
+        :meth:`predict_matrix` takes per service. The in-order sums are
+        padded with ``+0.0``, which leaves them unchanged. The replica
+        groups' sums and the two matrix-vector products run on operands of
+        the layout :meth:`predict_matrix` gives them, each row at its own
+        position in a slice of ``k`` rows, the other rows zero or unused.
+        """
+        values = np.asarray(values, dtype=float)
+        lead = values.shape[:-1]
+        k = lead[-1]
+        gather, peers, services, singles, groups, costs = self._own_plan(np.asarray(objs))
+        p = self.params
+        rows = self._config_rows(values.reshape(-1, values.shape[-1]), env)
+        wl = self._workloads(env)
+        read = rows.reshape(-1, k * rows.shape[1])[:, gather]     # (slices, units, columns)
+
+        vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
+        demand = np.append(vm_wl * p.cpu_demand_per_req, 0.0)
+        width = self._pm_width
+        cpu_term, overload_term = _capacity_terms(
+            p, read[..., width], _in_order_rows(np.minimum(read[..., :width], demand[peers])),
+            self._services_per_vm[self._vm_of_service[services]], read[..., width + 1],
+            _in_order_rows(read[..., width + 2:-1]),
+        )
+        planes = _service_planes(
+            p, cpu_term, read[..., -1], overload_term, wl[services], self._rt_ref[services],
+        )
+
+        n_slices = read.shape[0]
+        out = np.empty((n_slices, k))
+        single_rows, single_units, single_planes = singles
+        out[:, single_rows] = planes[single_planes, :, single_units].T
+        for members, n_means, n_slots, slots, group_rows, group_planes, units in groups:
+            # per slot (members, K) as predict_matrix holds them, the slot's rows filled in
+            stacked = np.zeros((n_slots, members.size, n_slices, k))
+            stacked[slots, np.arange(members.size)[:, None], :, group_rows] = planes[
+                group_planes, :, units
+            ]
+            stacked = stacked.reshape(stacked.shape[:2] + (-1,))
+            value = np.empty((n_slots, stacked.shape[2]))
+            means = stacked[:n_means].transpose(0, 2, 1)
+            value[:n_means] = _member_means(means, wl[members], lead)
+            for slot in range(n_means, n_slots):
+                value[slot] = stacked[slot].sum(axis=0)
+            out[:, group_rows] = value.reshape(-1, n_slices, k)[slots, :, group_rows].T
+        if costs:
+            slices = rows.reshape(-1, k, rows.shape[1])[..., :-1]
+            for cost_rows, prices in costs:
+                out[:, cost_rows] = (slices @ prices)[:, cost_rows]
+        return out.reshape(lead)
+
+    def unattainable(self, env, grids) -> np.ndarray:
+        """Requirements that no decision on the grids can meet, one bool per objective.
+
+        Sound, not complete: a requirement is flagged only when a bound on
+        its best value over the grid box, with each region primitive free in
+        ``[min, max]`` of its grid and the rest at their ``env`` values,
+        misses the threshold by more than a relative ``UNATTAINABLE_MARGIN``,
+        so rounding cannot flag one that some decision meets. The bounds:
+
+        - a service kind is evaluated by :func:`_service_planes` at the
+          capacity upper bound, every VM's CPU at its maximum over an
+          uncontended PM and every service's threads at their maximum
+          without overload: response time, reliability and availability are
+          monotone in capacity, and throughput is at most the offered load;
+        - a replica group sums its members' throughput bounds, and its
+          other kinds, weighted means, take the best member's bound;
+        - a cost is the price vector times each primitive's cheapest value.
+
+        The service bounds need the model's monotone form: finite
+        coefficients, positive ``min_capacity`` and contention limit,
+        non-negative rates, penalty and slopes, and finite, non-negative
+        workloads. Otherwise no service requirement is flagged.
+        """
+        p = self.params
+        low = np.zeros(len(self.all_pids) + 1)
+        low[self._fixed_rows[:-1]] = [env.current_configuration[pid] for pid in self._fixed_pids]
+        high = low.copy()
+        low[self._region_cols] = [grid.min() for grid in grids]
+        high[self._region_cols] = [grid.max() for grid in grids]
+        wl = self._workloads(env)
+
+        best = np.full(len(self.objectives), np.nan)
+        for j, prices in self._cost_plans:
+            best[j] = np.minimum(prices * low[:-1], prices * high[:-1]).sum()
+        monotone = (
+            np.isfinite(astuple(p)).all() and p.min_capacity > 0 and p.cpu_contention_limit > 0
+            and min(p.cpu_rate, p.thread_rate, p.overload_penalty, p.rt_base_ms,
+                    p.rel_slope, p.avail_slope) >= 0
+            and np.isfinite(self._rt_ref).all() and np.isfinite(high).all()
+            and np.isfinite(wl).all() and (wl >= 0).all()
+        )
+        if monotone:
+            # contention 1 and no overload: pressure 0, memory and threads 0
+            cpu_term, overload_term = _capacity_terms(
+                p, np.maximum(high[self._cpu_col], 0.0), 0.0, self._services_per_vm, 0.0, 0.0,
+            )
+            planes = _service_planes(
+                p, cpu_term[self._vm_of_service], high[self._thr_col], overload_term,
+                wl, self._rt_ref,
+            )
+            best[self._single_js] = planes[self._single_planes, self._single_cols]
+            for members, sum_js, mean_js, (mean_planes, _) in self._group_plans:
+                best[sum_js] = planes[_PLANES[KIND_THROUGHPUT], members].sum()
+                signs = self.direction_signs[mean_js, None]
+                member_best = signs * planes[mean_planes, members[None, :]]
+                best[mean_js] = signs[:, 0] * member_best.max(axis=1)
+        margin = UNATTAINABLE_MARGIN * np.maximum(np.abs(best), np.abs(self.thresholds))
+        # a NaN bound (not computed) compares false
+        return self.direction_signs * (best - self.thresholds) < -margin
 
     # -- convenience forms -------------------------------------------------
 

@@ -385,6 +385,10 @@ class _FlatModel:
         gaps = (vectors - self._thresholds) * self.direction_signs
         return (gaps < 0).sum(axis=-1)
 
+    def unattainable(self, env, grids):
+        # nothing certified, so the colony builds ants in speculative blocks
+        return np.zeros(len(self.objective_ids), dtype=bool)
+
 
 def _best_slopes(ladder, seconds, repeats=5):
     """Per rung, the least ``seconds(rung)`` over ``repeats`` per rung.

@@ -19,9 +19,10 @@ from antscale.colony import (
     selection_cdfs,
     trail_bounds,
 )
-from antscale.domain import ConfigError
+from antscale.domain import ConfigError, scenario_from_dict
 from antscale.dominance import DecisionArchive
-from conftest import toy_runtime
+from antscale.simulator import EnvironmentState, Simulator
+from conftest import toy_runtime, triple_doc
 
 
 class MappedModel:
@@ -50,6 +51,10 @@ class MappedModel:
             return np.zeros(vectors.shape[:-1], dtype=int)
         gaps = (vectors - self._thresholds) * self.direction_signs
         return (gaps < 0).sum(axis=-1)
+
+    def unattainable(self, env, grids):
+        # nothing certified, so the colony builds ants in speculative blocks
+        return np.zeros(len(self.objective_ids), dtype=bool)
 
 
 class RecordingModel(MappedModel):
@@ -681,6 +686,71 @@ def test_block_construction_matches_round_by_round_on_a_live_region():
     assert stats.rows_evaluated > constructions     # some speculative rounds were discarded
     assert np.array_equal(bits(stats.trails), bits(trails))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def triple_runtime(loads):
+    """Decision-time view of triple_vm's region under the given workloads."""
+    sim = Simulator(scenario_from_dict(triple_doc()), {s: [w] * 4 for s, w in loads.items()},
+                    seed=0)
+    return sim.region_runtime("r1", EnvironmentState(0, dict(loads), dict(sim.config), {}))
+
+
+def recorded_shapes(model):
+    """Record the shape of every batch the model predicts in full."""
+    shapes = []
+    predict = model.predict_matrix
+
+    def recording(values, env):
+        shapes.append(np.shape(values))
+        return predict(values, env)
+
+    model.predict_matrix = recording
+    return shapes
+
+
+def test_footprint_construction_matches_round_by_round():
+    # at 40 req/min no service reaches its throughput threshold, so no ant
+    # can close, and each iteration draws and evaluates footprints only:
+    # two blocks of rounds (20 and 10 at 150 ants), then the kept rows
+    runtime = triple_runtime({f"s{i}": 40.0 for i in range(1, 7)})
+    cfg = moaco_cfg(max_ant=150, max_run=30, max_iteration=2)
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    stats = OptimizeStats()
+    shapes = recorded_shapes(runtime.model)
+    archive = optimize(runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng,
+                       stats=stats)
+    built = shapes[2:]
+    expected, constructions, trails = reference_optimize(
+        runtime.model, runtime.env, runtime.current, runtime.grids, cfg, oracle_rng)
+    assert stats.footprint_only
+    assert stats.unattainable == [f"s{i}.tp" for i in range(1, 7)]
+    assert built == [(150, 12)] * 2
+    assert stats.model_calls == 2 + 2 * 3
+    # the heuristic's rows, then per iteration 30 rounds of own objectives and the kept rows
+    assert stats.rows_evaluated == sum(len(g) for g in runtime.grids) + 1 + 2 * (30 * 150 + 150)
+    assert np.array_equal(archive.rows, expected.rows)
+    assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
+    assert np.array_equal(archive.violations, expected.violations)
+    assert (archive.violations > 0).all()
+    assert stats.constructions == constructions == 2 * 150 * 30
+    assert np.array_equal(bits(stats.trails), bits(trails))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_uncertified_decisions_build_ants_in_blocks():
+    # at these loads every requirement is within some decision's reach, so
+    # ants may close and rounds are evaluated in full, in stacked blocks
+    runtime = triple_runtime({"s1": 95.0, "s2": 85.0, "s3": 68.0, "s4": 72.0, "s5": 75.0,
+                              "s6": 85.0})
+    assert not runtime.model.unattainable(runtime.env, runtime.grids).any()
+    stats = OptimizeStats()
+    shapes = recorded_shapes(runtime.model)
+    optimize(runtime.model, runtime.env, runtime.current, runtime.grids,
+             moaco_cfg(max_ant=150, max_run=12, max_iteration=1), np.random.default_rng(3),
+             stats=stats)
+    assert not stats.footprint_only and stats.unattainable == []
+    assert (6, 150, 12) in shapes[2:]
+    assert stats.model_calls == len(shapes)
 
 
 # -- guide-table sampler ----------------------------------------------------

@@ -1,12 +1,15 @@
 """Interference-aware QoS predictions: frozen values, clamps, monotonicity."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antscale import colony, experiment
+from antscale.colony import optimize
 from antscale.domain import ConfigError, Decision, is_replica, scenario_from_dict
 from antscale.qosmodel import (
     ModelParams,
@@ -455,3 +458,135 @@ def test_stacked_predict_matrix_matches_each_slice(case, k, lead, seed, loads):
     assert counts.shape == lead + (k,)
     flat = out.reshape(-1, out.shape[-1])
     assert np.array_equal(counts.reshape(-1), model.violation_counts(flat))
+
+
+# -- footprints, own objectives and the unattainability certificate ----------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 142, 150]),
+    lead=st.sampled_from([(1,), (6,), (2, 3)]),
+    round_robin=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+@example(case="triple_vm-replica", k=150, lead=(6,), round_robin=True, seed=0, loads=[0.0] * 10)
+@example(case="smoke-replica", k=3, lead=(6,), round_robin=False, seed=1, loads=[0.0] * 10)
+def test_own_objective_matches_the_predict_matrix_column(case, k, lead, round_robin, seed, loads):
+    # each row's own objective, read off its footprint alone, has the bits
+    # predict_matrix gives that row's column; zero workloads take the replica
+    # groups' plain-mean branch
+    model, rows, env = oracle_inputs(case, k * int(np.prod(lead)), seed, loads)
+    rows = rows.astype(float).reshape(lead + (k, rows.shape[1]))
+    m = len(model.objective_ids)
+    objs = np.arange(k) % m if round_robin else np.random.default_rng(seed).integers(0, m, k)
+    expected = model.predict_matrix(rows, env)[..., np.arange(k), objs]
+    footprint_only = np.where(model.footprints[objs], rows, 0.0)
+    for values in (rows, footprint_only):
+        own = model.own_objective(values, env, objs)
+        assert own.shape == lead + (k,)
+        assert np.array_equal(bits(own), bits(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 142, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+def test_a_rows_bits_do_not_depend_on_the_other_rows(case, k, seed, loads):
+    # a row's bits follow its values, its position and the batch's row
+    # count, not the other rows: the colony evaluates rows it keeps again,
+    # each in its old position, with other rows around it
+    model, rows, env = oracle_inputs(case, 2 * k, seed, loads)
+    mine, others = rows[:k], rows[k:]
+    expected = model.predict_matrix(mine, env)
+    keep = np.random.default_rng(seed).random(k) < 0.5
+    for replacement in (others, np.zeros_like(others)):
+        mixed = np.where(keep[:, None], mine, replacement)
+        assert np.array_equal(bits(model.predict_matrix(mixed, env)[keep]), bits(expected[keep]))
+
+
+def test_footprints_follow_the_topology(triple_scenario):
+    model = build_model(triple_scenario)
+    pids = np.array(model.region_pids)
+
+    def read(oid):
+        return set(pids[model.footprints[model.objective_ids.index(oid)]])
+
+    # every VM shares pm1, so a service reads every VM's CPU
+    cpus = {"v1.cpu", "v2.cpu", "v3.cpu"}
+    assert read("s3.rt") == cpus | {"v2.memory", "s3.thread", "s4.thread"}
+    assert read("s3.tp") == read("s3.rel") == read("s3.avail") == read("s3.rt")
+    assert read("s3.cost") == {"v2.cpu", "v2.memory", "s3.thread"}
+
+
+def smoke_space(grids):
+    """Every decision of a region as one row each."""
+    return np.array(list(itertools.product(*grids)), dtype=float)
+
+
+def assert_certificate_sound(model, env, grids):
+    """Every flagged requirement is breached by every decision on the grids."""
+    flagged = model.unattainable(env, grids)
+    vectors = model.predict_matrix(smoke_space(grids), env)
+    signed_gap = (vectors - model.thresholds) * model.direction_signs
+    assert (signed_gap[:, flagged] < 0).all()
+    return flagged
+
+
+def test_certificate_is_sound_on_every_decision_of_a_smoke_plan(monkeypatch, tmp_path):
+    # the decisions of a seeded smoke plan, each space enumerated in full
+    flagged = []
+
+    def checked(model, env, current_row, grids, cfg, rng, stats=None):
+        flagged.append(assert_certificate_sound(model, env, grids))
+        return optimize(model, env, current_row, grids, cfg, rng, stats)
+
+    monkeypatch.setattr(colony, "optimize", checked)
+    plan = experiment.ExperimentPlan(
+        name="certified", scenario=scenario_from_dict(smoke_doc()), approaches=("moaco-cd",),
+        intervals=30, warmup=0, runs=1, seed=1, out_dir=str(tmp_path), quiet=True,
+    )
+    experiment.run_experiment(plan)
+    flagged = np.array(flagged)
+    # the plan certifies some requirements and leaves others open
+    assert flagged.any() and not flagged.all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    loads=st.lists(WORKLOAD, min_size=2, max_size=2),
+    scales=st.lists(st.floats(0.2, 1.5), min_size=6, max_size=6),
+)
+@example(loads=[0.0, 0.0], scales=[0.2, 1.0, 1.0, 0.2, 1.0, 1.0])
+@example(loads=[120.0, 60.0], scales=[1.0, 1.0, 0.62, 1.0, 1.0, 0.62])
+def test_certificate_is_sound_on_drawn_workloads_and_thresholds(loads, scales):
+    # response-time thresholds down to the idle service time (a zero load
+    # meets it exactly), throughput above and below the load, cost around
+    # the cheapest decision
+    doc = smoke_doc()
+    for obj, scale in zip(doc["objectives"], scales):
+        obj["threshold"] *= scale
+    scenario = scenario_from_dict(doc)
+    sim = Simulator(scenario, {"s1": [loads[0]] * 2, "s2": [loads[1]] * 2}, seed=0)
+    env = EnvironmentState(0, {"s1": loads[0], "s2": loads[1]}, dict(sim.config), {})
+    runtime = sim.region_runtime("r1", env)
+    assert_certificate_sound(runtime.model, env, runtime.grids)
+
+
+def test_certificate_flags_what_the_bounds_exclude(triple_scenario):
+    model = build_model(triple_scenario)
+    grids = [np.array(s.grid(), dtype=float)
+             for s in (triple_scenario.primitives[pid] for pid in model.region_pids)]
+    ids = np.array(model.objective_ids)
+    # 40 req/min is below every throughput threshold, and nothing else fails
+    assert set(ids[model.unattainable(triple_env(triple_scenario, 40.0), grids)]) == {
+        f"s{i}.tp" for i in range(1, 7)
+    }
+    # past a model coefficient the bounds rely on, no service kind is flagged
+    model.params = ModelParams(min_capacity=0.0)
+    assert not model.unattainable(triple_env(triple_scenario, 40.0), grids).any()

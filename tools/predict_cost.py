@@ -1,10 +1,12 @@
-"""Time ``RegionModel.predict_matrix`` per call and ant sampling per round.
+"""Time ``RegionModel.predict_matrix`` per call, ant sampling per round, and
+one construction block built in full or footprint-only.
 
 Runs the seeded triple_vm moaco-cd plan (plan seed 1, as the ``moaco-triple``
 benchmark workload at ``--seed 1``) until after its second scale-out. On each
 topology, 12 primitives before any scale-out and 16 and 20 after, it keeps
-the colony's first stacked construction call, a block of ``(rounds, ants,
-primitives)`` rows, and the selection cdfs that block was drawn from. Then:
+the first decision's model, workloads and grids, and the selection cdfs of
+its first iteration. From those cdfs 150 ants, one per objective in turn,
+draw a seeded block of 6 rounds, ``(rounds, ants, primitives)``. Then:
 
 - ``predict_matrix_us_per_call``: rows of that block, repeated as needed,
   are timed at k = 1, 150 and 1500 rows per 2-D call, and as one stacked
@@ -12,17 +14,21 @@ primitives)`` rows, and the selection cdfs that block was drawn from. Then:
   shape while 150 ants are open;
 - ``violation_counts_us_per_call``: ``RegionModel.violation_counts`` on the
   objectives that ``k_6x150`` call returns, as the colony counts a block;
-- ``ant_sampling_us_per_round``: 150 ants, one per objective in turn, draw
-  one round from those cdfs, by the ``argmax(cdf >= u)`` comparison the
-  colony drew with before its guide table (``comparison``) and by
-  ``colony.GuideSampler`` one round at a time (``guide``) and six rounds at
-  a time (``guide_block_6``, per round); ``guide_table_build`` is the
-  once-per-iteration cost of building the sampler.
+- ``ant_sampling_us_per_round``: the ants draw one round from the cdfs by
+  the ``argmax(cdf >= u)`` comparison the colony drew with before its guide
+  table (``comparison``) and by ``colony.GuideSampler`` one round at a time
+  (``guide``) and six rounds at a time (``guide_block_6``, per round);
+  ``guide_table_build`` is the once-per-iteration cost of building the
+  sampler;
+- ``construction_us_per_block``: the 6x150 block as the colony builds it
+  when ants may close (``full``: every primitive drawn, gathered, then
+  ``predict_matrix`` and ``violation_counts``) and when a requirement is
+  certified unattainable (``footprint``: each ant's footprint drawn and
+  gathered, then ``RegionModel.own_objective``).
 
 Each figure is the least mean over seven repeats, in microseconds, and the
 result is one JSON object on standard output. The package is imported from
-``PYTHONPATH``, so one script times any checkout whose colony makes stacked
-model calls:
+``PYTHONPATH``:
 
     PYTHONPATH=src python3 tools/predict_cost.py
 """
@@ -35,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from antscale import colony, experiment, qosmodel
+from antscale import colony, experiment
 from antscale.domain import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,24 +53,25 @@ REPEATS = 7
 
 
 def capture(out_dir: Path) -> dict:
-    """n_primitives -> (model, first stacked block, its environment, its cdfs)."""
+    """n_primitives -> (model, environment, grids, first iteration's cdfs)."""
     captured = {}
-    latest = {}     # the cdfs of the iteration being built
-    original_predict = qosmodel.RegionModel.predict_matrix
+    pending = {}     # the decision being built, while its cdfs are not yet kept
+    original_optimize = colony.optimize
     original_cdfs = colony.selection_cdfs
 
-    def recording_predict(model, values, env):
-        if np.ndim(values) == 3:
-            captured.setdefault(
-                len(model.all_pids), (model, np.array(values), env, latest["cdf"])
-            )
-        return original_predict(model, values, env)
+    def recording_optimize(model, env, current_row, grids, *args, **kwargs):
+        if len(model.all_pids) not in captured:
+            pending["decision"] = (model, env, grids)
+        return original_optimize(model, env, current_row, grids, *args, **kwargs)
 
     def recording_cdfs(*args, **kwargs):
-        latest["cdf"] = original_cdfs(*args, **kwargs)
-        return latest["cdf"]
+        cdf = original_cdfs(*args, **kwargs)
+        if "decision" in pending:
+            model, env, grids = pending.pop("decision")
+            captured[len(model.all_pids)] = (model, env, grids, cdf)
+        return cdf
 
-    qosmodel.RegionModel.predict_matrix = recording_predict
+    colony.optimize = recording_optimize
     colony.selection_cdfs = recording_cdfs
     try:
         plan = experiment.ExperimentPlan(
@@ -74,7 +81,7 @@ def capture(out_dir: Path) -> dict:
         )
         experiment.run_experiment(plan)
     finally:
-        qosmodel.RegionModel.predict_matrix = original_predict
+        colony.optimize = original_optimize
         colony.selection_cdfs = original_cdfs
     return captured
 
@@ -121,23 +128,53 @@ def sampling_costs(cdf) -> dict:
     }
 
 
+def construction_costs(model, env, values, u, sampler, objs) -> dict:
+    n_prims = values.shape[0]
+    prims = np.arange(n_prims)
+
+    def full():
+        vectors = model.predict_matrix(values[prims, sampler.draw(u, objs)], env)
+        model.violation_counts(vectors)
+
+    # the footprint-only block as colony.optimize builds it
+    ants, fp_prims = np.nonzero(model.footprints[objs])
+    cells, slots = ants * n_prims + fp_prims, fp_prims * values.shape[1]
+    block = np.zeros(u.shape)
+    flat_u, flat_block = u.reshape(ROUNDS, -1), block.reshape(ROUNDS, -1)
+    grid_values = values.ravel()
+
+    def footprint():
+        drawn = sampler.draw_at(flat_u[:, cells], objs[ants], fp_prims)
+        flat_block[:, cells] = grid_values[slots + drawn]
+        model.own_objective(block, env, objs)
+
+    return {f"full_{ROUNDS}x{ANTS}": us_per_call(full, 200),
+            f"footprint_{ROUNDS}x{ANTS}": us_per_call(footprint, 200)}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         captured = capture(Path(tmp))
-    predict, violations, sampling = {}, {}, {}
-    for n_prims, (model, block, env, cdf) in sorted(captured.items()):
-        predict[f"primitives_{n_prims}"] = {
-            k: round(v, 1) for k, v in predict_costs(model, block, env).items()
-        }
-        violations[f"primitives_{n_prims}"] = {
-            k: round(v, 1) for k, v in violation_costs(model, block, env).items()
-        }
-        sampling[f"primitives_{n_prims}_ants_{ANTS}"] = {
+    predict, violations, sampling, construction = {}, {}, {}, {}
+    for n_prims, (model, env, grids, cdf) in sorted(captured.items()):
+        values, _ = colony.grid_table(grids)
+        objs = np.arange(ANTS) % cdf.shape[0]
+        u = np.random.default_rng(1).random((ROUNDS, ANTS, values.shape[0]))
+        sampler = colony.GuideSampler(cdf)
+        block = values[np.arange(values.shape[0]), sampler.draw(u, objs)]
+        key = f"primitives_{n_prims}"
+        predict[key] = {k: round(v, 1) for k, v in predict_costs(model, block, env).items()}
+        violations[key] = {k: round(v, 1) for k, v in violation_costs(model, block, env).items()}
+        sampling[f"{key}_ants_{ANTS}"] = {
             k: round(v, 1) for k, v in sampling_costs(cdf).items()
+        }
+        construction[key] = {
+            k: round(v, 1)
+            for k, v in construction_costs(model, env, values, u, sampler, objs).items()
         }
     print(json.dumps({
         "predict_matrix_us_per_call": predict, "violation_counts_us_per_call": violations,
-        "ant_sampling_us_per_round": sampling,
+        "ant_sampling_us_per_round": sampling, "construction_us_per_block": construction,
     }))
     return 0
 
