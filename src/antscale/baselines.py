@@ -6,6 +6,9 @@ search and the normalized values are summed, so the score of a candidate can
 shift as the search widens its view. The genetic optimizer keeps the
 objectives separate and returns its final non-dominated front; callers
 wanting one decision take the front member with the best normalized sum.
+Hill climbing, random search and the genetic optimizer all draw and move
+integer index rows over the colony's grid table (:func:`colony.grid_table`);
+grid values appear only in the batches sent to the model and in the result.
 """
 
 import time
@@ -106,11 +109,9 @@ def rule_decide(runtime, trigger, observed: dict) -> Decision:
 # -- weighted-sum searches -------------------------------------------------
 
 
-def _random_rows(grids, n: int, rng) -> np.ndarray:
-    rows = np.empty((n, len(grids)))
-    for a, grid in enumerate(grids):
-        rows[:, a] = grid[rng.integers(len(grid), size=n)]
-    return rows
+def random_indices(sizes, n: int, rng) -> np.ndarray:
+    """``n`` uniform grid-index rows, one ``rng.integers`` call per primitive in order."""
+    return np.column_stack([rng.integers(size, size=n) for size in sizes])
 
 
 def random_search(runtime, budget: int, rng,
@@ -121,23 +122,24 @@ def random_search(runtime, budget: int, rng,
     only once sampling ends.
     """
     model = runtime.model
+    values, valid = grid_table(runtime.grids)
+    sizes, prims = valid.sum(axis=1), np.arange(valid.shape[0])
     span = RunningSpan(model.direction_signs)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
-    all_rows, all_vecs = [], []
+    all_idx, all_vecs = [], []
     remaining = max(int(budget), 1)
     while remaining > 0:
         chunk = min(remaining, 4096)
-        rows = _random_rows(runtime.grids, chunk, rng)
-        vecs = model.predict_matrix(rows, runtime.env)
+        idx = random_indices(sizes, chunk, rng)
+        vecs = model.predict_matrix(values[prims, idx], runtime.env)
         span.update(vecs)
-        all_rows.append(rows)
+        all_idx.append(idx)
         all_vecs.append(vecs)
         remaining -= chunk
         if deadline is not None and time.perf_counter() > deadline:
             break
-    rows = np.vstack(all_rows)
     best = int(np.argmin(span.score(np.vstack(all_vecs))))
-    return _row_decision(runtime, rows[best])
+    return _row_decision(runtime, values[prims, np.vstack(all_idx)[best]])
 
 
 def hill_climb(runtime, budget: int, rng,
@@ -149,17 +151,22 @@ def hill_climb(runtime, budget: int, rng,
     points the one scoring best under the final normalization is returned.
     """
     model = runtime.model
-    grids = runtime.grids
+    values, valid = grid_table(runtime.grids)
+    sizes, prims = valid.sum(axis=1), np.arange(valid.shape[0])
+    # one-notch moves, primitive by primitive and down before up: the model's
+    # last bits depend on a batch's rows, so the order is part of a seed's result
+    moves = np.repeat(np.eye(prims.size, dtype=int), 2, axis=0)
+    moves[::2] *= -1
     span = RunningSpan(model.direction_signs)
     deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
     budget = max(int(budget), 1)
     evals = 0
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
+    def evaluate(idx: np.ndarray) -> np.ndarray:
         nonlocal evals
-        vecs = model.predict_matrix(rows, runtime.env)
+        vecs = model.predict_matrix(values[prims, idx], runtime.env)
         span.update(vecs)
-        evals += rows.shape[0]
+        evals += idx.shape[0]
         return vecs
 
     def expired() -> bool:
@@ -167,38 +174,32 @@ def hill_climb(runtime, budget: int, rng,
             deadline is not None and time.perf_counter() > deadline
         )
 
-    current = _random_rows(grids, 1, rng)[0]
+    current = random_indices(sizes, 1, rng)[0]
     cur_vec = evaluate(current[None, :])[0]
-    ends_rows, ends_vecs = [], []
+    ends_idx, ends_vecs = [], []
     while True:
         while not expired():
-            rows = []
-            for a, grid in enumerate(grids):
-                idx = int(np.searchsorted(grid, current[a]))
-                for nxt in (idx - 1, idx + 1):
-                    if 0 <= nxt < len(grid):
-                        row = current.copy()
-                        row[a] = grid[nxt]
-                        rows.append(row)
-            if not rows:
+            neighbours = current + moves
+            neighbours = neighbours[((neighbours >= 0) & (neighbours < sizes)).all(axis=1)]
+            if not len(neighbours):
                 break
-            vecs = evaluate(np.array(rows))
+            vecs = evaluate(neighbours)
             scores = span.score(vecs)
             cur_score = span.score(cur_vec[None, :])[0]
             best = int(np.argmin(scores))
             if scores[best] < cur_score:
-                current = np.array(rows[best])
+                current = neighbours[best]
                 cur_vec = vecs[best]
             else:
                 break
-        ends_rows.append(current.copy())
-        ends_vecs.append(cur_vec.copy())
+        ends_idx.append(current)
+        ends_vecs.append(cur_vec)
         if expired():
             break
-        current = _random_rows(grids, 1, rng)[0]
+        current = random_indices(sizes, 1, rng)[0]
         cur_vec = evaluate(current[None, :])[0]
     best = int(np.argmin(span.score(np.array(ends_vecs))))
-    return _row_decision(runtime, ends_rows[best])
+    return _row_decision(runtime, values[prims, ends_idx[best]])
 
 
 def _row_decision(runtime, row) -> Decision:
@@ -362,9 +363,7 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
         else time.perf_counter() + cfg.time_budget_s
     )
 
-    genomes = np.empty((pop_n, n_prims), dtype=int)
-    for a in range(n_prims):
-        genomes[:, a] = rng.integers(sizes[a], size=pop_n)
+    genomes = random_indices(sizes, pop_n, rng)
     vectors = model.predict_matrix(values[prims, genomes], runtime.env)
     ranks, _ = nondominated_ranks(vectors, signs)
 

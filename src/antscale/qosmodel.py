@@ -668,11 +668,9 @@ class RegionModel:
         workloads. Otherwise no service requirement is flagged.
         """
         p = self.params
-        low = np.zeros(len(self.all_pids) + 1)
-        low[self._fixed_rows[:-1]] = [env.current_configuration[pid] for pid in self._fixed_pids]
-        high = low.copy()
-        low[self._region_cols] = [grid.min() for grid in grids]
-        high[self._region_cols] = [grid.max() for grid in grids]
+        low, high = self._config_rows(
+            np.array([[grid.min() for grid in grids], [grid.max() for grid in grids]]), env,
+        )
         wl = self._workloads(env)
 
         best = np.full(len(self.objectives), np.nan)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from antscale.baselines import (
     MogaConfig,
+    RunningSpan,
     crowding_distances,
     hill_climb,
     moga_optimize,
@@ -123,11 +124,13 @@ def test_rule_keeps_live_values_without_trigger():
 # -- flat searches ---------------------------------------------------------
 
 
-def test_random_search_singleton_space():
+@pytest.mark.parametrize("search", [random_search, hill_climb], ids=lambda f: f.__name__)
+def test_search_singleton_space(search):
+    # hill finds no move from the start, so every climb ends where it starts
     runtime = stub_runtime(
         [[5.0]], [5.0], lambda rows: rows.copy(), ("min",)
     )
-    decision = random_search(runtime, budget=10, rng=np.random.default_rng(0))
+    decision = search(runtime, budget=10, rng=np.random.default_rng(0))
     assert decision.assignments == {"p0": 5}
 
 
@@ -192,6 +195,131 @@ def test_searches_emit_decisions_on_the_grids():
         ):
             for pid, value in decision.assignments.items():
                 assert value in grids[pid]
+
+
+def reference_random_rows(grids, n, rng):
+    rows = np.empty((n, len(grids)))
+    for a, grid in enumerate(grids):
+        rows[:, a] = grid[rng.integers(len(grid), size=n)]
+    return rows
+
+
+def reference_decision(runtime, row):
+    return {pid: int(v) for pid, v in zip(runtime.region.primitive_ids, row)}
+
+
+def reference_random_search(runtime, budget, rng):
+    """Uniform sampling on grid-value rows, in chunks of at most 4,096."""
+    model = runtime.model
+    span = RunningSpan(model.direction_signs)
+    all_rows, all_vecs = [], []
+    remaining = max(int(budget), 1)
+    while remaining > 0:
+        chunk = min(remaining, 4096)
+        rows = reference_random_rows(runtime.grids, chunk, rng)
+        vecs = model.predict_matrix(rows, runtime.env)
+        span.update(vecs)
+        all_rows.append(rows)
+        all_vecs.append(vecs)
+        remaining -= chunk
+    rows = np.vstack(all_rows)
+    best = int(np.argmin(span.score(np.vstack(all_vecs))))
+    return reference_decision(runtime, rows[best])
+
+
+def reference_hill_climb(runtime, budget, rng):
+    """Restarted climbing on grid-value rows, finding each move's index by search."""
+    model = runtime.model
+    grids = runtime.grids
+    span = RunningSpan(model.direction_signs)
+    budget = max(int(budget), 1)
+    evals = 0
+
+    def evaluate(rows):
+        nonlocal evals
+        vecs = model.predict_matrix(rows, runtime.env)
+        span.update(vecs)
+        evals += rows.shape[0]
+        return vecs
+
+    current = reference_random_rows(grids, 1, rng)[0]
+    cur_vec = evaluate(current[None, :])[0]
+    ends_rows, ends_vecs = [], []
+    while True:
+        while evals < budget:
+            rows = []
+            for a, grid in enumerate(grids):
+                idx = int(np.searchsorted(grid, current[a]))
+                for nxt in (idx - 1, idx + 1):
+                    if 0 <= nxt < len(grid):
+                        row = current.copy()
+                        row[a] = grid[nxt]
+                        rows.append(row)
+            if not rows:
+                break
+            vecs = evaluate(np.array(rows))
+            scores = span.score(vecs)
+            cur_score = span.score(cur_vec[None, :])[0]
+            best = int(np.argmin(scores))
+            if scores[best] < cur_score:
+                current = np.array(rows[best])
+                cur_vec = vecs[best]
+            else:
+                break
+        ends_rows.append(current.copy())
+        ends_vecs.append(cur_vec.copy())
+        if evals >= budget:
+            break
+        current = reference_random_rows(grids, 1, rng)[0]
+        cur_vec = evaluate(current[None, :])[0]
+    best = int(np.argmin(span.score(np.array(ends_vecs))))
+    return reference_decision(runtime, ends_rows[best])
+
+
+def tied_runtime(sizes):
+    """Every move away from the middle gains the same, so a batch's order decides."""
+    middle = (np.array(sizes) - 1) / 2
+    return stub_runtime(
+        [np.arange(float(g)) for g in sizes], [0.0] * len(sizes),
+        lambda rows: np.abs(rows - middle).sum(axis=1, keepdims=True), ("max",),
+    )
+
+
+SEARCH_ORACLES = {random_search: reference_random_search, hill_climb: reference_hill_climb}
+
+
+@st.composite
+def search_runtimes(draw):
+    """A hashed or tied stub over sorted grids (singletons included), or toy or smoke."""
+    kind = draw(st.sampled_from(("hashed", "tied", "toy", "smoke")))
+    if kind == "toy":
+        return toy_runtime()
+    if kind == "smoke":
+        return smoke_runtime(seed=draw(st.integers(0, 5)))[1]
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    if kind == "tied":
+        return tied_runtime(sizes)
+    return hashed_runtime(
+        sizes, draw(st.lists(st.sampled_from(("min", "max")), min_size=1, max_size=4)),
+        draw(st.sampled_from((0.0, 0.0, 0.3))), 0.0,
+    )
+
+
+@pytest.mark.parametrize("search", [random_search, hill_climb], ids=lambda f: f.__name__)
+@settings(max_examples=60, deadline=None)
+@given(
+    runtime=search_runtimes(),
+    # up to a budget spanning two of random search's 4,096-row chunks
+    budget=st.one_of(st.integers(1, 300), st.integers(4097, 8192)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a climb from the middle goes down first
+@example(runtime=tied_runtime([3, 3]), budget=5, seed=0)
+def test_index_searches_match_the_value_row_searches(search, runtime, budget, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    decision = search(runtime, budget, rng)
+    assert decision.assignments == SEARCH_ORACLES[search](runtime, budget, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 # -- non-dominated sorting -------------------------------------------------
