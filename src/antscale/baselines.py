@@ -153,8 +153,8 @@ def hill_climb(runtime, budget: int, rng,
     model = runtime.model
     values, valid = grid_table(runtime.grids)
     sizes, prims = valid.sum(axis=1), np.arange(valid.shape[0])
-    # one-notch moves, primitive by primitive and down before up: the model's
-    # last bits depend on a batch's rows, so the order is part of a seed's result
+    # one-notch moves, primitive by primitive and down before up: argmin takes
+    # the first of equal scores, so the order breaks ties
     moves = np.repeat(np.eye(prims.size, dtype=int), 2, axis=0)
     moves[::2] *= -1
     span = RunningSpan(model.direction_signs)

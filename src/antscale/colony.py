@@ -29,7 +29,8 @@ decide which round it keeps: the first holding its best own-objective value.
 Construction then draws each ant's footprint alone (the primitives its
 objective reads), evaluates its objective alone, and keeps the uniforms of
 the round it would keep. Once per iteration the kept rows are drawn in full
-and evaluated, with the bits their rounds gave. The generator makes the same
+and evaluated; a row's bits do not depend on its batch, so they are those a
+full round gives. The generator makes the same
 draws, so the two paths build the same archive; which one runs follows from
 each decision's model, grids and workloads.
 """
@@ -423,8 +424,8 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
                 if deadline is not None and time.perf_counter() > deadline:
                     out_of_time = True
                     break
-            # the kept rows in full, each at its ant's place in a batch of
-            # n_ant rows as in its round, so with the bits that round gave
+            # the kept rows in full: a row's bits do not depend on its batch,
+            # so these are the values its round's full evaluation would give
             kept_idx = sampler.draw(kept_u, ant_obj)
             kept_vecs = np.ascontiguousarray(model.predict_matrix(values[prims, kept_idx], env))
             kept_viol = model.violation_counts(kept_vecs)

@@ -14,10 +14,10 @@ a call matters as much as its cost per row: how objectives are read off the
 per-service results is planned once per model as index arrays, and a call
 runs a fixed, short sequence of array operations. The pass is laid out by
 primitive, service and objective rather than by row, so each step works on
-long contiguous rows of one quantity across all candidates. Batches may also
-be stacked, ``(..., k, n_primitives)``: the colony evaluates several rounds
-of its ants in one call, and each ``(k, n_primitives)`` slice gets the bits a
-call of its own would give.
+long contiguous rows of one quantity across all candidates. Every step is
+elementwise or a sum in a fixed order, so a row gets the same bits in any
+batch: batches may be stacked, ``(..., k, n_primitives)``, split or
+reordered freely. The pass makes no BLAS call.
 
 The model also owns what the colony may skip. ``RegionModel.footprints``
 says which primitives each objective reads, ``own_objective`` evaluates one
@@ -94,6 +94,9 @@ _PLANES = {
     KIND_RELIABILITY: 2,
     KIND_AVAILABILITY: 3,
 }
+# how RegionModel reads an objective: one service's plane, a replica
+# group's weighted planes, or priced configuration values
+_SINGLE, _GROUP, _COST = range(3)
 
 
 def _sigmoid(x, out=None):
@@ -106,24 +109,6 @@ def _sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _sum_plan(group_of: np.ndarray, n_groups: int) -> tuple:
-    """``(n_groups, layers)`` for :func:`_in_order_sums`.
-
-    Layer ``i`` pairs each group that has an ``i``-th item with that item,
-    items counted in index order. An index list that steps evenly becomes a
-    slice, so its layer adds views instead of gathered copies.
-    """
-    layers = []
-    seen = np.zeros(n_groups, dtype=int)
-    for item, group in enumerate(group_of):
-        if seen[group] == len(layers):
-            layers.append(([], []))
-        layers[seen[group]][0].append(int(group))
-        layers[seen[group]][1].append(item)
-        seen[group] += 1
-    return n_groups, [(_as_slice(groups), _as_slice(items)) for groups, items in layers]
-
-
 def _as_slice(index: list):
     """A list of ints as a slice when it steps evenly upward, else as an array."""
     step = index[1] - index[0] if len(index) > 1 else 1
@@ -132,29 +117,31 @@ def _as_slice(index: list):
     return np.array(index)
 
 
-def _in_order_sums(rows: np.ndarray, plan: tuple) -> np.ndarray:
-    """Per-group sums of ``rows``, each starting at 0.0 and adding in row order.
+def _padded(rows: list, fill=None, dtype=int) -> np.ndarray:
+    """Ragged rows as the columns of one ``(widest, len(rows))`` array.
 
-    ``plan`` is ``(n_groups, layers)`` from :func:`_sum_plan`. A group
-    without items sums to 0.0. These are the bits ``np.bincount`` gives.
+    Each row is padded at its end with ``fill``, or with its own last item
+    when ``fill`` is None.
     """
-    n_groups, layers = plan
-    sums = np.zeros((n_groups,) + rows.shape[1:])
-    for groups, items in layers:
-        sums[groups] += rows[items]
-    return sums
+    width = max(map(len, rows), default=0)
+    return np.array(
+        [list(row) + [row[-1] if fill is None else fill] * (width - len(row)) for row in rows],
+        dtype=dtype,
+    ).reshape(len(rows), width).T
 
 
-def _in_order_rows(terms: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, starting at 0.0 and adding in order.
+def _sum_in_order(terms, shape: tuple) -> np.ndarray:
+    """The sum of the arrays ``terms`` yields, starting at 0.0 and adding in order.
 
-    The bits of :func:`_in_order_sums` for a group whose items are these
-    terms; trailing ``+0.0`` terms, padding, leave them unchanged.
+    Each term has ``shape`` or broadcasts to it. These are the bits
+    ``np.bincount`` gives; trailing ``+0.0`` terms, padding, leave them
+    unchanged. Each sum is elementwise, so no entry's bits depend on the
+    others.
     """
-    sums = np.zeros(terms.shape[:-1])
-    for i in range(terms.shape[-1]):
-        sums += terms[..., i]
-    return sums
+    total = np.zeros(shape)
+    for term in terms:
+        total += term
+    return total
 
 
 def _capacity_terms(p: ModelParams, cap, pressure, services, mem, threads) -> tuple:
@@ -198,21 +185,6 @@ def _service_planes(p: ModelParams, cpu_term, thr, overload_term, wl, rt_ref) ->
     return planes
 
 
-def _member_means(stacked: np.ndarray, w: np.ndarray, lead: tuple) -> np.ndarray:
-    """Workload-weighted means over the members axis of ``(..., K, members)``.
-
-    A plain mean when the members carry no workload. Otherwise one
-    matrix-vector product per ``(k, members)`` slice of the ``lead`` batch
-    shape, whose bits depend on the layout of ``stacked``: both callers
-    pass a view with strides ``(., 8, 8K)`` (see :class:`RegionModel`).
-    """
-    total = w.sum()
-    if total <= 0.0:
-        return stacked.mean(axis=-1)
-    per_slice = stacked.reshape(stacked.shape[:-2] + lead + stacked.shape[-1:])
-    return (per_slice @ (w / total)).reshape(stacked.shape[:-1])
-
-
 class RegionModel:
     """Batched evaluator for one region's objectives against a topology snapshot.
 
@@ -229,37 +201,25 @@ class RegionModel:
 
     - an objective whose owner has no replicas reads its owner's row of its
       kind's plane, and all such objectives are filled by one gather;
-    - the objectives of an owner with replicas are filled together: the sum
-      of the members' throughput rows, and for the other kinds the members'
-      rows weighted by their share of the group's workload (a plain mean
-      when the group has no workload);
-    - a cost objective is one matrix-vector product of the configuration
-      rows with its price vector.
+    - an objective of an owner with replicas sums its members' rows of its
+      kind's plane in member order, each times the member's share of the
+      group's workload (equal shares when the group has none), or times 1.0
+      for throughput;
+    - a cost objective sums its priced primitives' configuration rows in
+      primitive order, each times its price.
 
-    It returns the ``(..., k, m)`` view of that matrix, without a copy. The
-    plans give the same bits a loop over objectives gives: for a single
-    member, its workload share is exactly 1.0 and the mean or sum of one
-    value is that value, and replica groups keep the per-objective products
-    and reductions. The per-PM CPU pressure and per-VM thread counts are
-    in-order additions of rows starting at 0.0, the sums ``np.bincount``
-    gives.
-
-    Every step is elementwise or an in-order sum except the matrix-vector
-    products, whose summation order can follow the number of rows and the
-    layout of the operand. So each keeps its operand as it was when the
-    pass was laid out by row, and runs once per ``(k, ...)`` slice of a
-    stacked call, so each slice keeps the bits of a 2-D call on that slice
-    alone. The cost products read row-major ``(k, n_primitives)``
-    configuration rows. The replica-group products read the members'
-    planes as ``(means, K, members)`` with strides ``(., 8, 8K)``: a
-    C-contiguous copy would make BLAS sum in another order. A row's bits
-    depend only on its values, its position in its slice and the slice's
-    row count, not on the other rows.
+    It returns the ``(..., k, m)`` view of that matrix, without a copy. A
+    single member's share is exactly 1.0, so its gather is the weighted sum
+    of one term. Every sum starts at 0.0 and adds its terms in a fixed
+    order, each VM's PM CPU pressure and thread count included (the sums
+    ``np.bincount`` gives), and every other step is elementwise. So a row's
+    bits depend only on its values: not on the other rows, its position,
+    or the shape of its batch.
 
     :meth:`own_objective` evaluates one objective per row from the same
-    steps (:func:`_capacity_terms`, :func:`_service_planes`,
-    :func:`_member_means`) on per-row gathers; :attr:`footprints` holds the
-    region primitives each objective reads; :meth:`unattainable` bounds each
+    steps (:func:`_capacity_terms`, :func:`_service_planes` and the same
+    weighted sums) on per-row gathers; :attr:`footprints` holds the region
+    primitives each objective reads; :meth:`unattainable` bounds each
     requirement over the grids.
     """
 
@@ -328,10 +288,6 @@ class RegionModel:
         self._thr_col = np.array([thr_idx.get(s, -1) for s in self._service_ids])
         self._services_per_vm = np.bincount(self._vm_of_service, minlength=len(vms)).astype(float)
         self._services_per_vm[self._services_per_vm == 0] = 1.0
-        self._n_pms = len(pm_ids)
-        # PM CPU pressure and VM thread counts, summed in VM and service order
-        self._pm_sums = _sum_plan(self._pm_of_vm, self._n_pms)
-        self._vm_sums = _sum_plan(self._vm_of_service, len(vms))
 
         # response-time reference per service for the reliability response
         rt_by_owner = {
@@ -352,50 +308,55 @@ class RegionModel:
             for o in self.objectives
         ]
 
-        # price vectors for cost objectives, one column per cost objective;
-        # replicas bill against the root service they serve
-        self._cost_cols = []
-        for obj in self.objectives:
-            if obj.model != MODEL_PRICE_SUM:
-                self._cost_cols.append(None)
-                continue
-            member_ids = {
-                svc.id for svc in services if root_id(svc.id) == obj.owner
-            }
-            member_vms = {
-                svc.vm for svc in services if svc.id in member_ids
-            }
-            weights = np.zeros(len(self.all_pids))
-            for pid, spec in prim_specs.items():
-                if (spec.scope == SCOPE_SERVICE and spec.owner in member_ids) or (
-                    spec.scope == SCOPE_VM and spec.owner in member_vms
-                ):
-                    weights[self._all_index[pid]] = spec.price
-            self._cost_cols.append(weights)
-
         self._kinds = [o.kind for o in self.objectives]
         self._noise_kinds = np.array([o.model == MODEL_QUEUE for o in self.objectives])
 
-        # gather plans (see the class docstring), built once per model
+        # each service's replica group, and _weights without workloads
+        roots = {}
+        self._root_of = np.array(
+            [roots.setdefault(root_id(s), len(roots)) for s in self._service_ids]
+        )
+        equal = 1.0 / np.bincount(self._root_of)[self._root_of]
+        self._equal_weights = np.append(equal, (1.0, 0.0))
+
+        # gather and sum plans (see the class docstring), built once per model;
+        # _table[j] says which plan objective j is in, _slot[j] its place there
+        n_services = len(services)
         single_js, single_planes, single_cols = [], [], []
-        groups = {}   # owner -> (members, throughput js, averaged js, their planes)
-        self._cost_plans = []
+        group_js, group_planes, group_members, group_weights = [], [], [], []
+        cost_js, cost_reads, cost_prices = [], [], []
+        self._table = np.empty(len(self.objectives), dtype=int)
+        self._slot = np.empty(len(self.objectives), dtype=int)
         for j, (obj, members) in enumerate(zip(self.objectives, self._member_idx)):
             if obj.kind in _PLANES and len(members) == 1:
+                self._table[j], self._slot[j] = _SINGLE, len(single_js)
                 single_js.append(j)
                 single_planes.append(_PLANES[obj.kind])
                 single_cols.append(members[0])
             elif obj.kind in _PLANES:
-                _, sum_js, mean_js, mean_planes = groups.setdefault(
-                    obj.owner, (members, [], [], [])
+                self._table[j], self._slot[j] = _GROUP, len(group_js)
+                group_js.append(j)
+                group_planes.append(_PLANES[obj.kind])
+                group_members.append(members)
+                # a member's share of the group's workload, or 1.0 (see _weights)
+                group_weights.append(
+                    [n_services] * len(members) if obj.kind == KIND_THROUGHPUT else members
                 )
-                if obj.kind == KIND_THROUGHPUT:
-                    sum_js.append(j)
-                else:
-                    mean_js.append(j)
-                    mean_planes.append(_PLANES[obj.kind])
-            elif self._cost_cols[j] is not None:
-                self._cost_plans.append((j, self._cost_cols[j]))
+            elif obj.model == MODEL_PRICE_SUM:
+                # replicas bill against the root service they serve
+                member_ids = {services[s].id for s in members}
+                member_vms = {services[s].vm for s in members}
+                priced = sorted(
+                    (self._all_index[pid], spec.price) for pid, spec in prim_specs.items()
+                    if spec.price and (
+                        (spec.scope == SCOPE_SERVICE and spec.owner in member_ids)
+                        or (spec.scope == SCOPE_VM and spec.owner in member_vms)
+                    )
+                )
+                self._table[j], self._slot[j] = _COST, len(cost_js)
+                cost_js.append(j)
+                cost_reads.append([col for col, _ in priced])
+                cost_prices.append([price for _, price in priced])
             else:
                 raise ConfigError(
                     f"objective {self.objective_ids[j]}: no evaluator for {obj.kind}"
@@ -403,69 +364,76 @@ class RegionModel:
         self._single_js = np.array(single_js, dtype=int)
         self._single_planes = np.array(single_planes, dtype=int)
         self._single_cols = np.array(single_cols, dtype=int)
-        # a group's averaged planes are read as planes[mean_planes[:, None], members]
-        self._group_plans = [
-            (members, np.array(sum_js, dtype=int), np.array(mean_js, dtype=int),
-             (np.array(mean_planes, dtype=int)[:, None], members[None, :]))
-            for members, sum_js, mean_js, mean_planes in groups.values()
-        ]
+        self._group_js = np.array(group_js, dtype=int)
+        self._group_planes = np.array(group_planes, dtype=int)
+        # the terms tables are (depth, objectives): every objective's first
+        # term, then every second one, and so on; a group is padded with its
+        # last member at weight 0.0, a cost with the configuration's trailing
+        # zero at price 0.0
+        self._group_members = _padded(group_members)
+        self._group_weights = _padded(group_weights, n_services + 1)
+        self._cost_js = np.array(cost_js, dtype=int)
+        self._cost_reads = _padded(cost_reads, len(self.all_pids))
+        self._cost_prices = _padded(cost_prices, 0.0, float)
 
-        # what a service's planes read of a configuration row, as full-config
-        # columns: the CPU of every VM on its PM, padded to the widest PM, its
-        # VM's CPU and memory, the threads of every service on its VM, padded
-        # likewise, and its own threads; padding reads the zero column
+        # per VM, as (depth, VMs) tables summed in order: the VMs on its PM,
+        # padded with the VM past the last, whose CPU and demand read 0.0,
+        # and its services' thread columns, padded with the zero column
         n_cols = len(self.all_pids)
         cpu_cols, mem_cols, thr_cols = (
             np.where(c < 0, n_cols, c) for c in (self._cpu_col, self._mem_col, self._thr_col)
         )
-        on_pm = [np.flatnonzero(self._pm_of_vm == pm) for pm in range(self._n_pms)]
-        on_vm = [np.flatnonzero(self._vm_of_service == vm) for vm in range(len(vms))]
-        self._pm_width = max(map(len, on_pm), default=0)
-        vm_width = max(map(len, on_vm), default=0)
-        unit_cols, unit_peers = [], []
-        for s, vm in enumerate(self._vm_of_service):
-            peers, mates = on_pm[self._pm_of_vm[vm]], on_vm[vm]
-            # the VM index past the last reads a CPU demand of 0.0
-            unit_peers.append(np.append(peers, [len(vms)] * (self._pm_width - len(peers))))
-            unit_cols.append(np.concatenate([
-                cpu_cols[peers], [n_cols] * (self._pm_width - len(peers)),
-                [cpu_cols[vm], mem_cols[vm]],
-                thr_cols[mates], [n_cols] * (vm_width - len(mates)),
-                [thr_cols[s]],
-            ]))
-        self._unit_cols = np.array(unit_cols, dtype=int).reshape(len(services), -1)
-        self._unit_peers = np.array(unit_peers, dtype=int).reshape(len(services), -1)
+        self._peer_cpu = np.append(cpu_cols, n_cols)
+        self._peers = _padded(
+            [np.flatnonzero(self._pm_of_vm == pm) for pm in self._pm_of_vm], len(vms)
+        )
+        self._mate_cols = _padded(
+            [thr_cols[self._vm_of_service == vm] for vm in range(len(vms))], n_cols
+        )
+        # what a service's planes read of a configuration row, as full-config
+        # columns: the CPU of every VM on its PM, its VM's CPU and memory, the
+        # threads of every service on its VM, and its own threads; these and
+        # the VMs on its PM as (depth, services) tables
+        vm = self._vm_of_service
+        self._unit_peers = self._peers[:, vm]
+        self._unit_cols = np.vstack([
+            self._peer_cpu[self._unit_peers], cpu_cols[vm], mem_cols[vm],
+            self._mate_cols[:, vm], thr_cols,
+        ])
 
         # footprints[j, c]: objective j reads region column c (own_objective)
         region_of = np.full(n_cols + 1, -1)
         region_of[self._region_cols] = np.arange(len(self.region_pids))
         self.footprints = np.zeros((len(self.objectives), len(self.region_pids)), dtype=bool)
-        for j, (obj, members) in enumerate(zip(self.objectives, self._member_idx)):
-            if obj.kind in _PLANES:
-                read = region_of[self._unit_cols[members]]
+        for j, (table, slot) in enumerate(zip(self._table, self._slot)):
+            if table == _COST:
+                read = region_of[self._cost_reads[:, slot]]
             else:
-                read = region_of[np.flatnonzero(self._cost_cols[j])]
+                read = region_of[self._unit_cols[:, self._member_idx[j]]]
             self.footprints[j, read[read >= 0]] = True
         self._own_plans = {}    # objs.tobytes() -> plan, see _own_plan
 
     # -- batched core ------------------------------------------------------
 
-    def _config_rows(self, values: np.ndarray, env) -> np.ndarray:
+    def _config_rows(self, values: np.ndarray, env, by_primitive: bool = False) -> np.ndarray:
         """The configuration over every primitive, plus one trailing zero.
 
         Returns row-major ``(K, n_primitives + 1)`` configuration rows for
-        ``(K, n_region)`` values. A gather index of -1 (a VM or service
-        without that primitive) reads the zero.
+        ``(K, n_region)`` values, or ``(n_primitives + 1, K)``, one row per
+        primitive, when ``by_primitive``. A gather index of -1 (a VM or
+        service without that primitive) reads the zero.
         """
         fixed = np.zeros(len(self._fixed_pids) + 1)
         fixed[:-1] = np.fromiter(
             (env.current_configuration[pid] for pid in self._fixed_pids),
             dtype=float, count=len(self._fixed_pids),
         )
-        rows = np.empty((values.shape[0], len(self.all_pids) + 1))
+        shape = (values.shape[0], len(self.all_pids) + 1)
+        config = np.empty(shape[::-1] if by_primitive else shape)
+        rows = config.T if by_primitive else config
         rows[:, self._fixed_rows] = fixed
         rows[:, self._region_rows] = values
-        return rows
+        return config
 
     def _workloads(self, env) -> np.ndarray:
         return np.fromiter(
@@ -485,93 +453,99 @@ class RegionModel:
 
         Returns:
             float array of shape (..., k, len(region.objective_ids)), each
-            (k, m) slice bit for bit what a call on that slice alone returns.
-            It is a view of objective-major memory: numpy reduces along an
-            axis in an order that follows the memory layout, so a caller
-            that sums floats across objectives copies to row-major first.
+            row bit for bit what a call on that row alone returns. It is a
+            view of objective-major memory: numpy reduces along an axis in
+            an order that follows the memory layout, so a caller that sums
+            floats across objectives copies to row-major first.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
         lead = values.shape[:-1]
         values = values.reshape(-1, values.shape[-1])
         p = self.params
-        rows = self._config_rows(values, env)
-        # (n_primitives + 1, K): one row per primitive
-        config = np.ascontiguousarray(rows.T)
+        config = self._config_rows(values, env, by_primitive=True)
         wl = self._workloads(env)
 
-        cap = config[self._cpu_col]
+        cpu = config[self._peer_cpu]        # every VM's CPU, then the padding VM's 0.0
+        cap = cpu[:-1]
         mem = config[self._mem_col]
         thr = config[self._thr_col]
 
         vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
-        usage = np.minimum(cap, (vm_wl * p.cpu_demand_per_req)[:, None])
-        pressure = _in_order_sums(usage, self._pm_sums)[self._pm_of_vm]
+        usage = np.minimum(cpu, np.append(vm_wl * p.cpu_demand_per_req, 0.0)[:, None])
         cpu_term, overload_term = _capacity_terms(
-            p, cap, pressure, self._services_per_vm[:, None], mem,
-            _in_order_sums(thr, self._vm_sums),
+            p, cap, _sum_in_order(usage[self._peers], cap.shape), self._services_per_vm[:, None],
+            mem, _sum_in_order(config[self._mate_cols], cap.shape),
         )
         planes = _service_planes(
             p, cpu_term[self._vm_of_service], thr, overload_term[self._vm_of_service],
             wl[:, None], self._rt_ref[:, None],
         )
-        tp = planes[_PLANES[KIND_THROUGHPUT]]
 
         out = np.empty((len(self.objectives), values.shape[0]))
         out[self._single_js] = planes[self._single_planes, self._single_cols]
-        for members, sum_js, mean_js, mean_at in self._group_plans:
-            out[sum_js] = tp[members].sum(axis=0)
-            # strides (., 8, 8K), as the class docstring explains
-            out[mean_js] = _member_means(planes[mean_at].transpose(0, 2, 1), wl[members], lead)
-        # one gemv per (k, n) slice of the row-major rows, so each slice
-        # keeps the bits its own 2-D call gives: a gemv's summation order can
-        # follow its row count
-        slices = rows.reshape(lead + (rows.shape[1],))[..., :-1]
-        for j, prices in self._cost_plans:
-            out[j] = (slices @ prices).ravel()
+        weights = self._weights(wl)[self._group_weights]
+        out[self._group_js] = _sum_in_order(
+            (planes[self._group_planes, members] * w[:, None]
+             for members, w in zip(self._group_members, weights)),
+            (self._group_js.size, config.shape[1]),
+        )
+        out[self._cost_js] = _sum_in_order(
+            (config[reads] * prices[:, None]
+             for reads, prices in zip(self._cost_reads, self._cost_prices)),
+            (self._cost_js.size, config.shape[1]),
+        )
         return out.T.reshape(lead + (out.shape[0],))
+
+    def _weights(self, wl: np.ndarray) -> np.ndarray:
+        """Each service's share of its replica group's workload, then 1.0 and 0.0.
+
+        Equal shares when the group has no workload. A group objective weighs
+        its members' planes by their shares, or by 1.0 for throughput, and
+        its padding by 0.0 (the indices in ``_group_weights``).
+        """
+        weights = self._equal_weights.copy()
+        total = np.bincount(self._root_of, weights=wl)[self._root_of]
+        np.divide(wl, total, out=weights[:-2], where=total > 0.0)
+        return weights
 
     def _own_plan(self, objs: np.ndarray) -> tuple:
         """How :meth:`own_objective` reads each row's objective, built once per ``objs``.
 
         A unit is one member service of one row's objective. Returns
-        ``(gather, peers, services, singles, groups, costs)``: per unit its
-        :attr:`_unit_cols` as flat indices into one slice of configuration
-        rows, its PM's VMs and its service; the rows, units and planes of
-        the objectives whose owner has no replicas; per replica group
-        ``(members, n_means, n_slots, slots, rows, planes, units)``, one
-        slot per objective of the group, its averaged kinds first, and per
-        row that reads the group its slot, plane and ``(members, rows)``
-        units; per cost objective its rows and price vector.
+        ``(gather, peers, services, singles, groups, costs)``: as
+        ``(depth, units)`` tables, each unit's :attr:`_unit_cols` as flat
+        indices into one slice of configuration rows and its PM's VMs, then
+        each unit's service; the rows, units and planes of the objectives
+        whose owner has no replicas; the rows and planes of the replica
+        groups' objectives, with ``(depth, rows)`` tables of their units, one
+        per padded member of the group, and weight indices; the rows of the
+        cost objectives, with ``(depth, rows)`` tables of their reads, as
+        flat indices, and prices.
         """
         key = objs.tobytes()
         if key in self._own_plans:
             return self._own_plans[key]
-        rows_of = [np.flatnonzero(objs == j) for j in range(len(self.objectives))]
-
-        def rows_and_slots(js):
-            slots = np.repeat(np.arange(len(js)), [rows_of[j].size for j in js])
-            return np.concatenate([rows_of[j] for j in js] + [slots[:0]]), slots
-
-        single_rows, single_slots = rows_and_slots(self._single_js)
-        unit_rows = [single_rows]
-        unit_services = [self._single_cols[single_slots]]
-        singles = (single_rows, np.arange(single_rows.size), self._single_planes[single_slots])
-        groups = []
-        for members, sum_js, mean_js, (mean_planes, _) in self._group_plans:
-            rows, slots = rows_and_slots(np.concatenate([mean_js, sum_js]))
-            if rows.size == 0:
-                continue
-            first = sum(map(len, unit_rows))
-            units = first + np.arange(members.size * rows.size).reshape(members.size, rows.size)
-            unit_rows.append(np.tile(rows, members.size))
-            unit_services.append(np.repeat(members, rows.size))
-            planes = np.append(mean_planes[:, 0], [_PLANES[KIND_THROUGHPUT]] * sum_js.size)
-            groups.append((members, mean_js.size, planes.size, slots, rows, planes[slots], units))
-        costs = [(rows_of[j], prices) for j, prices in self._cost_plans if rows_of[j].size]
-        services = np.concatenate(unit_services)
-        gather = np.concatenate(unit_rows)[:, None] * (len(self.all_pids) + 1)
-        gather = gather + self._unit_cols[services]
-        plan = (gather, self._unit_peers[services], services, singles, groups, costs)
+        tables, slots = self._table[objs], self._slot[objs]
+        single_rows, group_rows, cost_rows = (
+            np.flatnonzero(tables == t) for t in (_SINGLE, _GROUP, _COST)
+        )
+        single_slots, group_slots = slots[single_rows], slots[group_rows]
+        n_singles = single_rows.size
+        members = self._group_members[:, group_slots]
+        units = n_singles + np.arange(members.size).reshape(members.shape)
+        services = np.concatenate([self._single_cols[single_slots], members.ravel()])
+        unit_rows = np.concatenate([single_rows, np.tile(group_rows, members.shape[0])])
+        n_cols = len(self.all_pids) + 1
+        gather = unit_rows * n_cols + self._unit_cols[:, services]
+        cost_slots = slots[cost_rows]
+        plan = (
+            gather, self._unit_peers[:, services], services,
+            (single_rows, np.arange(n_singles), self._single_planes[single_slots]),
+            (group_rows, self._group_planes[group_slots], units,
+             self._group_weights[:, group_slots]),
+            (cost_rows, cost_rows * n_cols + self._cost_reads[:, cost_slots],
+             self._cost_prices[:, cost_slots]),
+        )
         self._own_plans[key] = plan
         return plan
 
@@ -587,18 +561,13 @@ class RegionModel:
         Returns:
             float array of shape (..., k): entry ``[..., a]`` is
             ``predict_matrix(values, env)[..., a, objs[a]]`` bit for bit.
-            It depends only on the row's columns in ``footprints[objs[a]]``
-            (a cost row's other columns have price zero), and on nothing
-            else in the batch but the slice's shape and the row's position
-            in it.
+            It depends only on the row's columns in ``footprints[objs[a]]``.
 
         Only the rows' member services get capacity and planes, one unit
         each, from their footprint columns through the steps
-        :meth:`predict_matrix` takes per service. The in-order sums are
-        padded with ``+0.0``, which leaves them unchanged. The replica
-        groups' sums and the two matrix-vector products run on operands of
-        the layout :meth:`predict_matrix` gives them, each row at its own
-        position in a slice of ``k`` rows, the other rows zero or unused.
+        :meth:`predict_matrix` takes per service, and the replica groups'
+        and costs' weighted sums add the same terms in the same order. The
+        in-order sums are padded with ``+0.0``, which leaves them unchanged.
         """
         values = np.asarray(values, dtype=float)
         lead = values.shape[:-1]
@@ -606,42 +575,39 @@ class RegionModel:
         gather, peers, services, singles, groups, costs = self._own_plan(np.asarray(objs))
         p = self.params
         rows = self._config_rows(values.reshape(-1, values.shape[-1]), env)
+        rows = rows.reshape(-1, k * rows.shape[1])                  # (slices, k * columns)
         wl = self._workloads(env)
-        read = rows.reshape(-1, k * rows.shape[1])[:, gather]     # (slices, units, columns)
+        read = rows[:, gather]                                      # (slices, columns, units)
 
         vm_wl = np.bincount(self._vm_of_service, weights=wl, minlength=len(self._vm_ids))
         demand = np.append(vm_wl * p.cpu_demand_per_req, 0.0)
-        width = self._pm_width
+        width, per_unit = len(peers), read.shape[::2]
         cpu_term, overload_term = _capacity_terms(
-            p, read[..., width], _in_order_rows(np.minimum(read[..., :width], demand[peers])),
-            self._services_per_vm[self._vm_of_service[services]], read[..., width + 1],
-            _in_order_rows(read[..., width + 2:-1]),
+            p, read[:, width],
+            _sum_in_order((np.minimum(read[:, i], demand[at]) for i, at in enumerate(peers)),
+                          per_unit),
+            self._services_per_vm[self._vm_of_service[services]], read[:, width + 1],
+            _sum_in_order(read[:, width + 2:-1].transpose(1, 0, 2), per_unit),
         )
         planes = _service_planes(
-            p, cpu_term, read[..., -1], overload_term, wl[services], self._rt_ref[services],
+            p, cpu_term, read[:, -1], overload_term, wl[services], self._rt_ref[services],
         )
 
-        n_slices = read.shape[0]
-        out = np.empty((n_slices, k))
+        out = np.empty((rows.shape[0], k))
         single_rows, single_units, single_planes = singles
         out[:, single_rows] = planes[single_planes, :, single_units].T
-        for members, n_means, n_slots, slots, group_rows, group_planes, units in groups:
-            # per slot (members, K) as predict_matrix holds them, the slot's rows filled in
-            stacked = np.zeros((n_slots, members.size, n_slices, k))
-            stacked[slots, np.arange(members.size)[:, None], :, group_rows] = planes[
-                group_planes, :, units
-            ]
-            stacked = stacked.reshape(stacked.shape[:2] + (-1,))
-            value = np.empty((n_slots, stacked.shape[2]))
-            means = stacked[:n_means].transpose(0, 2, 1)
-            value[:n_means] = _member_means(means, wl[members], lead)
-            for slot in range(n_means, n_slots):
-                value[slot] = stacked[slot].sum(axis=0)
-            out[:, group_rows] = value.reshape(-1, n_slices, k)[slots, :, group_rows].T
-        if costs:
-            slices = rows.reshape(-1, k, rows.shape[1])[..., :-1]
-            for cost_rows, prices in costs:
-                out[:, cost_rows] = (slices @ prices)[:, cost_rows]
+        group_rows, group_planes, group_units, group_weights = groups
+        weights = self._weights(wl)[group_weights]
+        out[:, group_rows] = _sum_in_order(
+            (planes[group_planes, :, units] * w[:, None]
+             for units, w in zip(group_units, weights)),
+            (group_rows.size, out.shape[0]),
+        ).T
+        cost_rows, cost_reads, cost_prices = costs
+        out[:, cost_rows] = _sum_in_order(
+            (rows[:, reads] * prices for reads, prices in zip(cost_reads, cost_prices)),
+            (out.shape[0], cost_rows.size),
+        )
         return out.reshape(lead)
 
     def unattainable(self, env, grids) -> np.ndarray:
@@ -674,8 +640,9 @@ class RegionModel:
         wl = self._workloads(env)
 
         best = np.full(len(self.objectives), np.nan)
-        for j, prices in self._cost_plans:
-            best[j] = np.minimum(prices * low[:-1], prices * high[:-1]).sum()
+        best[self._cost_js] = np.minimum(
+            self._cost_prices * low[self._cost_reads], self._cost_prices * high[self._cost_reads],
+        ).sum(axis=0)
         monotone = (
             np.isfinite(astuple(p)).all() and p.min_capacity > 0 and p.cpu_contention_limit > 0
             and min(p.cpu_rate, p.thread_rate, p.overload_penalty, p.rt_base_ms,
@@ -693,11 +660,11 @@ class RegionModel:
                 wl, self._rt_ref,
             )
             best[self._single_js] = planes[self._single_planes, self._single_cols]
-            for members, sum_js, mean_js, (mean_planes, _) in self._group_plans:
-                best[sum_js] = planes[_PLANES[KIND_THROUGHPUT], members].sum()
-                signs = self.direction_signs[mean_js, None]
-                member_best = signs * planes[mean_planes, members[None, :]]
-                best[mean_js] = signs[:, 0] * member_best.max(axis=1)
+            for j in self._group_js:
+                member_best = planes[_PLANES[self._kinds[j]], self._member_idx[j]]
+                sign = self.direction_signs[j]
+                best[j] = (member_best.sum() if self._kinds[j] == KIND_THROUGHPUT
+                           else sign * (sign * member_best).max())
         margin = UNATTAINABLE_MARGIN * np.maximum(np.abs(best), np.abs(self.thresholds))
         # a NaN bound (not computed) compares false
         return self.direction_signs * (best - self.thresholds) < -margin

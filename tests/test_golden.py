@@ -4,7 +4,8 @@
 ``tests/golden/<plan>/intervals.sha256`` holds one sha256 per run over the
 run log's rows without its latency rows, which are wall-clock values. A
 golden file that changes records a behaviour change, and the change that
-causes it says why; a numpy or BLAS upgrade counts as such a change.
+causes it says why; a numpy upgrade counts as such a change. The QoS model
+makes no BLAS call, so a BLAS upgrade does not.
 
 Regenerate after an intended behaviour change with
 

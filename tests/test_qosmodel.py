@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 from antscale import colony, experiment
 from antscale.colony import optimize
-from antscale.domain import ConfigError, Decision, is_replica, scenario_from_dict
+from antscale.domain import (
+    SCOPE_SERVICE,
+    ConfigError,
+    Decision,
+    is_replica,
+    root_id,
+    scenario_from_dict,
+)
 from antscale.qosmodel import (
     ModelParams,
     RegionModel,
-    _in_order_sums,
     _sigmoid,
-    _sum_plan,
+    _sum_in_order,
     demand,
     utilization,
 )
@@ -236,11 +242,17 @@ def test_objective_without_evaluator_fails_at_construction():
         build_model(scenario_from_dict(doc))
 
 
-# -- oracle: the per-objective evaluator the gather plans replaced ----------
+# -- oracle: the model one objective at a time, in plain Python loops --------
 
 
-def reference_predict_matrix(model, values, env):
-    """Objective matrix computed one objective at a time, as the model once did."""
+def reference_predict_matrix(model, values, env, specs):
+    """Objective matrix computed one objective at a time.
+
+    A replica group's objective and a cost are sums that start at 0.0 and
+    add their terms in order: the members' values, each times its share of
+    the group's workload (equal shares when the group has none; throughput
+    unweighted), or each priced primitive's value times its price.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     p = model.params
     base = np.array([float(env.current_configuration[pid]) for pid in model.all_pids])
@@ -255,7 +267,7 @@ def reference_predict_matrix(model, values, env):
     vm_wl = np.bincount(model._vm_of_service, weights=wl, minlength=len(model._vm_ids))
     cpu_demand = vm_wl * p.cpu_demand_per_req
     usage = np.minimum(cap, cpu_demand[None, :])
-    pressure = np.zeros((values.shape[0], model._n_pms))
+    pressure = np.zeros((values.shape[0], len(model.topology.pms)))
     np.add.at(pressure.T, model._pm_of_vm, usage.T)
     contention = np.maximum(1.0, pressure / p.cpu_contention_limit)
     cpu_eff = cap / contention[:, model._pm_of_vm]
@@ -279,26 +291,47 @@ def reference_predict_matrix(model, values, env):
     rel = 100.0 * _sigmoid(p.rel_slope * (model._rt_ref[None, :] - rt))
     avail = 100.0 * _sigmoid(p.avail_slope * (p.avail_rt_ref_ms - rt))
 
+    def group_sum(arr, members):
+        total = np.zeros(values.shape[0])
+        for s in members:
+            total = total + arr[:, s]
+        return total
+
     def group_mean(arr, members):
-        w = wl[members]
-        total = w.sum()
-        if total <= 0.0:
-            return arr[:, members].mean(axis=1)
-        return arr[:, members] @ (w / total)
+        load = 0.0
+        for s in members:
+            load += wl[s]
+        mean = np.zeros(values.shape[0])
+        for s in members:
+            weight = wl[s] / load if load > 0.0 else 1.0 / len(members)
+            mean = mean + weight * arr[:, s]
+        return mean
+
+    def priced_sum(owner):
+        topology = model.topology
+        member_ids = {svc.id for svc in topology.services if root_id(svc.id) == owner}
+        member_vms = {svc.vm for svc in topology.services if svc.id in member_ids}
+        total = np.zeros(values.shape[0])
+        for col, pid in enumerate(model.all_pids):
+            spec = specs[pid]
+            billed = spec.owner in (member_ids if spec.scope == SCOPE_SERVICE else member_vms)
+            if billed and spec.price != 0.0:
+                total = total + spec.price * full[:, col]
+        return total
 
     out = np.empty((values.shape[0], len(model.objectives)))
-    for j, kind in enumerate(model._kinds):
+    for j, (obj, kind) in enumerate(zip(model.objectives, model._kinds)):
         members = model._member_idx[j]
         if kind == "response_time":
             out[:, j] = group_mean(rt, members)
         elif kind == "throughput":
-            out[:, j] = tp[:, members].sum(axis=1)
+            out[:, j] = group_sum(tp, members)
         elif kind == "reliability":
             out[:, j] = group_mean(rel, members)
         elif kind == "availability":
             out[:, j] = group_mean(avail, members)
         else:
-            out[:, j] = full @ model._cost_cols[j]
+            out[:, j] = priced_sum(obj.owner)
     return out
 
 
@@ -315,7 +348,7 @@ WORKLOAD = st.one_of(st.just(0.0), st.floats(0.5, 500.0))
 
 @functools.cache
 def oracle_case(name):
-    """(model, live configuration, per-column lower and upper value) of a case.
+    """(model, live configuration, per-column lower and upper value, specs) of a case.
 
     The replica cases step a simulator until its first scale-out clone is in
     place: the smoke one is test_simulator's overloaded scenario, the
@@ -341,12 +374,12 @@ def oracle_case(name):
     specs = [sim.prim_specs[pid] for pid in model.region_pids]
     low = np.array([s.hard_min for s in specs])
     high = np.array([s.hard_max for s in specs])
-    return model, dict(sim.config), low, high
+    return model, dict(sim.config), low, high, dict(sim.prim_specs)
 
 
 def oracle_inputs(case, k, seed, loads):
     """(model, rows, env): k seeded rows between the hard limits, given workloads."""
-    model, config, low, high = oracle_case(case)
+    model, config, low, high, _ = oracle_case(case)
     rows = np.random.default_rng(seed).integers(low, high + 1, size=(k, len(low)))
     env = EnvironmentState(0, dict(zip(model._service_ids, loads)), config, {})
     return model, rows, env
@@ -368,7 +401,8 @@ def bits(a):
 def test_predict_matrix_matches_the_per_objective_oracle(case, k, seed, loads):
     model, rows, env = oracle_inputs(case, k, seed, loads)
     assert np.array_equal(
-        bits(model.predict_matrix(rows, env)), bits(reference_predict_matrix(model, rows, env))
+        bits(model.predict_matrix(rows, env)),
+        bits(reference_predict_matrix(model, rows, env, oracle_case(case)[-1])),
     )
 
 
@@ -379,15 +413,19 @@ def test_predict_matrix_matches_the_per_objective_oracle(case, k, seed, loads):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_in_order_sums_match_bincount(group_of, k, seed):
-    # uneven layouts (index arrays, not slices), empty groups, and values of
-    # mixed magnitude, whose sums show any change of order
+    # empty groups, and values of mixed magnitude, whose sums show any change
+    # of order; padding with zeros leaves a sum's bits as they are
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((len(group_of), k)) * 10.0 ** rng.integers(-8, 9, (len(group_of), 1))
     group_of = np.array(group_of)
     expected = np.bincount(
         (np.arange(k)[:, None] * 5 + group_of).ravel(), weights=rows.T.ravel(), minlength=5 * k,
     ).reshape(k, 5).T
-    assert np.array_equal(bits(_in_order_sums(rows, _sum_plan(group_of, 5))), bits(expected))
+    for group in range(5):
+        mine = rows[group_of == group]
+        assert np.array_equal(bits(_sum_in_order(mine, (k,))), bits(expected[group]))
+        padded = np.vstack([mine, np.zeros((2, k))])
+        assert np.array_equal(bits(_sum_in_order(padded, (k,))), bits(expected[group]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,7 +440,7 @@ def test_predict_matrix_reads_non_contiguous_values(case, k, seed, loads):
     # major and strided views of the same rows must give the same bits
     model, rows, env = oracle_inputs(case, k, seed, loads)
     rows = rows.astype(float)
-    expected = bits(reference_predict_matrix(model, rows, env))
+    expected = bits(reference_predict_matrix(model, rows, env, oracle_case(case)[-1]))
     transposed = np.ascontiguousarray(rows.T).T
     strided = np.repeat(rows, 2, axis=0)[::2]
     for values in (transposed, strided):
@@ -433,31 +471,50 @@ def test_violation_counts_match_the_signed_gap_oracle(case, k, seed, loads):
     assert counts[k] == 0 and counts[k + 1] == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     case=st.sampled_from(ORACLE_CASES),
-    k=st.sampled_from([1, 3, 142, 150]),
+    k=st.sampled_from([1, 7, 142, 150]),
     lead=st.sampled_from([(1,), (2,), (6,), (2, 3)]),
     seed=st.integers(0, 2**32 - 1),
     loads=st.lists(WORKLOAD, min_size=10, max_size=10),
 )
-@example(case="triple_vm-replica", k=150, lead=(6,), seed=0,
+@example(case="triple_vm-replica", k=150, lead=(6,), seed=0, loads=[0.0] * 10)
+@example(case="smoke-replica", k=7, lead=(2, 3), seed=1, loads=[0.0] * 10)
+@example(case="triple_vm-replica", k=142, lead=(2,), seed=2,
          loads=[37.0, 410.0, 5.5, 260.0, 91.0, 150.0, 3.0, 480.0, 77.0, 12.0])
-@example(case="smoke-replica", k=3, lead=(6,), seed=1,
-         loads=[37.0, 410.0, 5.5, 260.0, 91.0, 150.0, 3.0, 480.0, 77.0, 12.0])
-def test_stacked_predict_matrix_matches_each_slice(case, k, lead, seed, loads):
-    # the colony stacks rounds in one call; each round must get the bits its
-    # own 2-D call gives, which the cost and replica-group products depend on
+def test_a_rows_bits_do_not_depend_on_its_batch(case, k, lead, seed, loads):
+    # any permutation and split of a batch, stacked or 2-D, gives each row
+    # the bits of one 2-D call on the whole batch, from predict_matrix and,
+    # for the objective the row carries, from own_objective; zero workloads
+    # take the replica groups' equal shares
     model, rows, env = oracle_inputs(case, k * int(np.prod(lead)), seed, loads)
-    stacked = rows.reshape(lead + (k, rows.shape[1]))
+    rng = np.random.default_rng(seed)
+    m = len(model.objective_ids)
+    whole = bits(model.predict_matrix(rows, env))
+    order = rng.permutation(len(rows))
+    # the objective each row carries: one per position in a stacked slice
+    objs = rng.integers(0, m, k)
+    obj_of = np.empty(len(rows), dtype=int)
+    obj_of[order] = np.tile(objs, len(rows) // k)
+
+    stacked = rows[order].reshape(lead + (k, rows.shape[1]))
     out = model.predict_matrix(stacked, env)
-    assert out.shape == lead + (k, len(model.objective_ids))
-    for at in np.ndindex(*lead):
-        assert np.array_equal(bits(out[at]), bits(model.predict_matrix(stacked[at], env)))
+    assert out.shape == lead + (k, m)
+    assert np.array_equal(bits(out).reshape(-1, m), whole[order])
     counts = model.violation_counts(out)
     assert counts.shape == lead + (k,)
-    flat = out.reshape(-1, out.shape[-1])
-    assert np.array_equal(counts.reshape(-1), model.violation_counts(flat))
+    assert np.array_equal(counts.ravel(), model.violation_counts(out.reshape(-1, m)))
+    own = model.own_objective(stacked, env, objs)
+    assert own.shape == lead + (k,)
+    assert np.array_equal(bits(own).ravel(), whole[order, obj_of[order]])
+
+    cuts = np.sort(rng.integers(0, len(rows) + 1, rng.integers(0, 4)))
+    for part in np.split(order, cuts):
+        if part.size:
+            assert np.array_equal(bits(model.predict_matrix(rows[part], env)), whole[part])
+            own = model.own_objective(rows[part], env, obj_of[part])
+            assert np.array_equal(bits(own), whole[part, obj_of[part]])
 
 
 # -- footprints, own objectives and the unattainability certificate ----------
@@ -488,26 +545,6 @@ def test_own_objective_matches_the_predict_matrix_column(case, k, lead, round_ro
         own = model.own_objective(values, env, objs)
         assert own.shape == lead + (k,)
         assert np.array_equal(bits(own), bits(expected))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    case=st.sampled_from(ORACLE_CASES),
-    k=st.sampled_from([1, 3, 142, 150]),
-    seed=st.integers(0, 2**32 - 1),
-    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
-)
-def test_a_rows_bits_do_not_depend_on_the_other_rows(case, k, seed, loads):
-    # a row's bits follow its values, its position and the batch's row
-    # count, not the other rows: the colony evaluates rows it keeps again,
-    # each in its old position, with other rows around it
-    model, rows, env = oracle_inputs(case, 2 * k, seed, loads)
-    mine, others = rows[:k], rows[k:]
-    expected = model.predict_matrix(mine, env)
-    keep = np.random.default_rng(seed).random(k) < 0.5
-    for replacement in (others, np.zeros_like(others)):
-        mixed = np.where(keep[:, None], mine, replacement)
-        assert np.array_equal(bits(model.predict_matrix(mixed, env)[keep]), bits(expected[keep]))
 
 
 def test_footprints_follow_the_topology(triple_scenario):

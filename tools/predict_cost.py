@@ -2,10 +2,10 @@
 one construction block built in full or footprint-only.
 
 Runs the seeded triple_vm moaco-cd plan (plan seed 1, as the ``moaco-triple``
-benchmark workload at ``--seed 1``) until after its second scale-out. On each
-topology, 12 primitives before any scale-out and 16 and 20 after, it keeps
-the first decision's model, workloads and grids, and the selection cdfs of
-its first iteration. From those cdfs 150 ants, one per objective in turn,
+benchmark workload at ``--seed 1``) for the benchmark's 70 intervals. On each
+topology it meets, 12 primitives before any scale-out and 16 and 20 after the
+first and second, it keeps the first decision's model, workloads and grids,
+and the selection cdfs of its first iteration. From those cdfs 150 ants, one per objective in turn,
 draw a seeded block of 6 rounds, ``(rounds, ants, primitives)``. Then:
 
 - ``predict_matrix_us_per_call``: rows of that block, repeated as needed,
@@ -45,7 +45,7 @@ from antscale import colony, experiment
 from antscale.domain import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
-INTERVALS = 46          # the seed-1 plan scales out at intervals 36 and 44
+INTERVALS = 70          # the moaco-triple plan, and every scale-out it makes
 SIZES = (1, 150, 1500)
 ANTS = 150
 ROUNDS = 6
