@@ -390,7 +390,7 @@ class _FlatModel:
         return np.zeros(len(self.objective_ids), dtype=bool)
 
 
-def _best_slopes(ladder, seconds, repeats=5):
+def _best_slopes(ladder, seconds, repeats=25):
     """Per rung, the least ``seconds(rung)`` over ``repeats`` per rung.
 
     The rungs are timed in interleaved sweeps, so a slow spell of a shared

@@ -471,7 +471,7 @@ def test_violation_counts_match_the_signed_gap_oracle(case, k, seed, loads):
     assert counts[k] == 0 and counts[k + 1] == 0
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     case=st.sampled_from(ORACLE_CASES),
     k=st.sampled_from([1, 7, 142, 150]),
@@ -483,32 +483,56 @@ def test_violation_counts_match_the_signed_gap_oracle(case, k, seed, loads):
 @example(case="smoke-replica", k=7, lead=(2, 3), seed=1, loads=[0.0] * 10)
 @example(case="triple_vm-replica", k=142, lead=(2,), seed=2,
          loads=[37.0, 410.0, 5.5, 260.0, 91.0, 150.0, 3.0, 480.0, 77.0, 12.0])
-def test_a_rows_bits_do_not_depend_on_its_batch(case, k, lead, seed, loads):
-    # any permutation and split of a batch, stacked or 2-D, gives each row
-    # the bits of one 2-D call on the whole batch, from predict_matrix and,
-    # for the objective the row carries, from own_objective; zero workloads
-    # take the replica groups' equal shares
+def test_stacked_predict_matrix_matches_each_slice(case, k, lead, seed, loads):
+    # the colony stacks rounds in one call; each round must get the bits its
+    # own 2-D call gives, from predict_matrix and, for the objective each
+    # row carries, from own_objective; zero workloads take the replica
+    # groups' equal shares
     model, rows, env = oracle_inputs(case, k * int(np.prod(lead)), seed, loads)
-    rng = np.random.default_rng(seed)
     m = len(model.objective_ids)
-    whole = bits(model.predict_matrix(rows, env))
-    order = rng.permutation(len(rows))
-    # the objective each row carries: one per position in a stacked slice
-    objs = rng.integers(0, m, k)
-    obj_of = np.empty(len(rows), dtype=int)
-    obj_of[order] = np.tile(objs, len(rows) // k)
-
-    stacked = rows[order].reshape(lead + (k, rows.shape[1]))
+    objs = np.random.default_rng(seed).integers(0, m, k)
+    stacked = rows.reshape(lead + (k, rows.shape[1]))
     out = model.predict_matrix(stacked, env)
     assert out.shape == lead + (k, m)
-    assert np.array_equal(bits(out).reshape(-1, m), whole[order])
+    own = model.own_objective(stacked, env, objs)
+    assert own.shape == lead + (k,)
+    for at in np.ndindex(*lead):
+        alone = bits(model.predict_matrix(stacked[at], env))
+        assert np.array_equal(bits(out[at]), alone)
+        assert np.array_equal(bits(model.own_objective(stacked[at], env, objs)), alone[np.arange(k), objs])
+    assert np.array_equal(bits(own), bits(out[..., np.arange(k), objs]))
     counts = model.violation_counts(out)
     assert counts.shape == lead + (k,)
     assert np.array_equal(counts.ravel(), model.violation_counts(out.reshape(-1, m)))
-    own = model.own_objective(stacked, env, objs)
-    assert own.shape == lead + (k,)
-    assert np.array_equal(bits(own).ravel(), whole[order, obj_of[order]])
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    k=st.sampled_from([1, 3, 142, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+@example(case="triple_vm-replica", k=150, seed=0, loads=[0.0] * 10)
+def test_a_rows_bits_do_not_depend_on_the_other_rows(case, k, seed, loads):
+    # a row's bits follow its values alone, not the other rows, its position
+    # or the batch's row count: the colony evaluates rows it keeps again,
+    # with other rows around it, so any replacement, permutation or split of
+    # a batch gives each row the bits of one 2-D call on the whole batch
+    model, rows, env = oracle_inputs(case, 2 * k, seed, loads)
+    rng = np.random.default_rng(seed)
+    m = len(model.objective_ids)
+    mine, others = rows[:k], rows[k:]
+    expected = bits(model.predict_matrix(mine, env))
+    keep = rng.random(k) < 0.5
+    for replacement in (others, np.zeros_like(others)):
+        mixed = np.where(keep[:, None], mine, replacement)
+        assert np.array_equal(bits(model.predict_matrix(mixed, env))[keep], expected[keep])
+
+    whole = bits(model.predict_matrix(rows, env))
+    obj_of = rng.integers(0, m, len(rows))
+    order = rng.permutation(len(rows))
+    assert np.array_equal(bits(model.predict_matrix(rows[order], env)), whole[order])
     cuts = np.sort(rng.integers(0, len(rows) + 1, rng.integers(0, 4)))
     for part in np.split(order, cuts):
         if part.size:
