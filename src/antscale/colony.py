@@ -16,23 +16,26 @@ indices, and the mask gives every padded slot zero selection weight.
 An ant retries until it finds a decision predicted to satisfy every
 requirement or its retry budget runs out, in which case its best attempt for
 its own objective stands. Most ants use every retry, so construction is
-speculative: the still-open ants' next rounds are drawn and evaluated in
-blocks of about ``BLOCK_ROWS`` rows, one model call per block. A round in
-which some ant closes ends the block, and the rounds up to it are settled in
-one array step that keeps what settling them in order would keep. The random
-draws of the rounds after it are given back, so the colony makes the same
-draws, and the same decisions, as it would round by round.
+speculative: the still-open ants' next rounds are drawn and scored in
+blocks, and the rounds up to a block's first closing round are settled in
+one array step that keeps what settling them in order would keep. Each ant
+keeps only the uniforms of the round it would keep; once per iteration the
+kept rows are drawn again and evaluated in full. A row's bits do not depend
+on its batch, so they are those its own round gave.
 
+A block is scored in one of two ways. When some ant may close, every cell
+is drawn and the block of about ``BLOCK_ROWS`` rows is evaluated in full,
+one model call per block. A round in which some ant closes ends the block,
+and the random draws of the rounds after it are given back, so the colony
+makes the same draws, and the same decisions, as it would round by round.
 When the model certifies some requirement unattainable on the grids
 (``RegionModel.unattainable``), no ant can close, and an ant's retries only
 decide which round it keeps: the first holding its best own-objective value.
-Construction then draws each ant's footprint alone (the primitives its
-objective reads), evaluates its objective alone, and keeps the uniforms of
-the round it would keep. Once per iteration the kept rows are drawn in full
-and evaluated; a row's bits do not depend on its batch, so they are those a
-full round gives. The generator makes the same
-draws, so the two paths build the same archive; which one runs follows from
-each decision's model, grids and workloads.
+Each ant's footprint (the primitives its objective reads) is then drawn
+alone, and its objective alone evaluated, in blocks of about
+``FOOTPRINT_BLOCK_ROWS`` rows that nothing cuts short. The generator makes
+the same draws either way, so both build the same archive; which one runs
+follows from each decision's model, grids and workloads.
 """
 
 import math
@@ -307,7 +310,7 @@ class OptimizeStats:
     iterations: int = 0
     constructions: int = 0
     model_calls: int = 0          # predict_matrix and own_objective calls, heuristic's too
-    rows_evaluated: int = 0       # their rows, discarded speculative rounds included
+    rows_evaluated: int = 0       # their rows: discarded speculative rounds and kept rows too
     trails: np.ndarray | None = None       # (m, n_prims, G_max)
     tau_min: np.ndarray | None = None      # per-objective trail floor
     tau_max: np.ndarray | None = None      # per-objective trail ceiling
@@ -323,22 +326,23 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     Ants are assigned objectives round-robin within each iteration, so with
     ``max_ant >= m`` every objective is optimized every iteration. Retries
     run in rounds over the still-unsatisfied ants, and the rounds in blocks:
-    with ``n`` ants open, one model call evaluates the next
-    ``max(1, BLOCK_ROWS // n)`` rounds, at most the retries left and at most
-    twice the rounds the previous block settled, in this iteration or the
-    one before. The rounds up to and including the first in which an ant
-    closes are settled (:func:`_settle`); the generator is then rewound and
-    re-drawn for exactly the rounds settled, so the draws, the archive and
-    the final generator state are those of a round-by-round construction.
-    When ``model.unattainable`` flags a requirement, every ant uses every
-    retry, and construction is footprint-only (see the module docstring):
-    blocks of about ``FOOTPRINT_BLOCK_ROWS`` rows of
-    ``model.own_objective`` values, then one model call for the kept rows.
-    An objective's trails are updated from the kept ants whose value for it
-    is not NaN; without any, they only keep their bounds. The wall-clock
-    budget is checked between blocks; on expiry the archive accumulated so
-    far is returned (never empty, since the first block of the first
-    iteration always completes).
+    with ``n`` ants open, one model call scores the next
+    ``max(1, rows // n)`` rounds, at most the retries left. ``rows`` is
+    ``BLOCK_ROWS`` when ants may close. Such a block takes at most twice the
+    rounds the previous block settled, in this iteration or the one before,
+    and the rounds up to and including the first in which an ant closes are
+    settled (:func:`_settle`); the generator is then rewound and re-drawn
+    for exactly the rounds settled. When ``model.unattainable`` flags a
+    requirement, ``rows`` is ``FOOTPRINT_BLOCK_ROWS``, no ant closes, and a
+    block is ``model.own_objective`` over the ants' footprints (see the
+    module docstring). Either way each iteration ends with one model call
+    for the kept rows, and the draws, the archive and the final generator
+    state are those of a round-by-round construction. An objective's trails
+    are updated from the kept ants whose value for it is not NaN; without
+    any, they only keep their bounds. The wall-clock budget is checked
+    between blocks; on expiry the iteration's kept rows are evaluated and
+    the archive accumulated so far is returned (never empty, since the
+    first block of the first iteration always completes).
     """
     start = time.perf_counter()
     m = len(model.objective_ids)
@@ -355,6 +359,7 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     t_heur = time.perf_counter() - start
     unattainable = model.unattainable(env, grids)
     footprint_only = bool(unattainable.any())
+    block_rows = FOOTPRINT_BLOCK_ROWS if footprint_only else BLOCK_ROWS
     if footprint_only:
         fp_ants, fp_prims = np.nonzero(model.footprints[ant_obj])
         fp_objs = ant_obj[fp_ants]
@@ -363,9 +368,7 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         grid_values = values.ravel()
         # a primitive outside an ant's footprint stays 0.0, which its
         # objective reads at most times a zero price
-        footprint_rows = np.zeros(
-            (min(cfg.max_run, max(1, FOOTPRINT_BLOCK_ROWS // n_ant)), n_ant, n_prims)
-        )
+        footprint_rows = np.zeros((min(cfg.max_run, max(1, block_rows // n_ant)), n_ant, n_prims))
     # compute_heuristics' two calls: one row per grid value, then the live row
     model_calls = 2
     rows_evaluated = int(valid.sum()) + 1
@@ -390,86 +393,66 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
         t0 = time.perf_counter()
         sampler = GuideSampler(selection_cdfs(trails, heuristic, valid, cfg))
 
-        # each ant keeps its first satisfying draw, else its best for its objective
-        kept_idx = np.zeros((n_ant, n_prims), dtype=int)
-        kept_vecs = np.zeros((n_ant, m))
-        kept_viol = np.zeros(n_ant, dtype=int)
+        # each ant keeps the uniforms of its first satisfying round, else of
+        # its first round holding its best value for its objective
+        kept_u = np.zeros((n_ant, n_prims))
         kept_h = np.full(n_ant, -np.inf)
         kept = np.zeros(n_ant, dtype=bool)
         done = np.zeros(n_ant, dtype=bool)
 
         rounds_left = cfg.max_run
-        if footprint_only:
-            # no ant can close (done stays False), so each keeps the first
-            # round holding its best value: draw its footprint alone,
-            # evaluate its objective alone, and keep that round's uniforms
-            kept_u = np.zeros((n_ant, n_prims))
-            while rounds_left:
-                n_rounds = min(rounds_left, footprint_rows.shape[0])
-                u = rng.random((n_rounds, n_ant, n_prims))
+        while rounds_left and not done.all():
+            open_ants = np.flatnonzero(~done)
+            n_open = open_ants.size
+            objs = ant_obj[open_ants]
+            n_rounds = min(rounds_left, reach, max(1, block_rows // n_open))
+            rewind = rng.bit_generator.state if n_rounds > 1 else None
+            u = rng.random((n_rounds, n_open, n_prims))
+            if footprint_only:
+                # no ant can close, so every ant stays open: draw its
+                # footprint alone and evaluate its objective alone
                 block = footprint_rows[:n_rounds]
                 drawn = sampler.draw_at(u.reshape(n_rounds, -1)[:, fp_cells], fp_objs, fp_prims)
                 block.reshape(n_rounds, -1)[:, fp_cells] = grid_values[fp_slots + drawn]
-                h = model.own_objective(block, env, ant_obj) * signs[ant_obj]
-                pick, take = _settle(h, kept, kept_h, done)
-                slot = np.flatnonzero(take)
-                pick = pick[slot]
-                kept_u[slot] = u[pick, slot]
-                kept_h[slot] = h[pick, slot]
-                kept[slot] = True
-                model_calls += 1
-                rows_evaluated += n_rounds * n_ant
-                constructions += n_rounds * n_ant
-                rounds_left -= n_rounds
-                if deadline is not None and time.perf_counter() > deadline:
-                    out_of_time = True
-                    break
-            # the kept rows in full: a row's bits do not depend on its batch,
-            # so these are the values its round's full evaluation would give
-            kept_idx = sampler.draw(kept_u, ant_obj)
-            kept_vecs = np.ascontiguousarray(model.predict_matrix(values[prims, kept_idx], env))
-            kept_viol = model.violation_counts(kept_vecs)
-            model_calls += 1
-            rows_evaluated += n_ant
-        else:
-            while rounds_left and not done.all():
-                open_ants = np.flatnonzero(~done)
-                n_open = open_ants.size
-                n_rounds = min(rounds_left, reach, max(1, BLOCK_ROWS // n_open))
-                rewind = rng.bit_generator.state if n_rounds > 1 else None
-                u = rng.random((n_rounds, n_open, n_prims))
-                objs = ant_obj[open_ants]
-                block_idx = sampler.draw(u, objs)
-                block_vecs = model.predict_matrix(values[prims, block_idx], env)
+                h = model.own_objective(block, env, objs) * signs[objs]
+                used = n_rounds
+                ok = np.zeros(n_open, dtype=bool)
+            else:
+                block_vecs = model.predict_matrix(values[prims, sampler.draw(u, objs)], env)
                 block_viols = model.violation_counts(block_vecs)
-                model_calls += 1
-                rows_evaluated += n_rounds * n_open
                 closing = (block_viols == 0).any(axis=1)
                 used = int(closing.argmax()) + 1 if closing.any() else n_rounds
                 ok = block_viols[used - 1] == 0
                 h = block_vecs[:used, np.arange(n_open), objs] * signs[objs]
-                pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
-                slot = np.flatnonzero(take)
-                pick = pick[slot]
-                improved = open_ants[slot]
-                kept_idx[improved] = block_idx[pick, slot]
-                kept_vecs[improved] = block_vecs[pick, slot]
-                kept_viol[improved] = block_viols[pick, slot]
-                kept_h[improved] = h[pick, slot]
-                kept[improved] = True
-                done[open_ants[ok]] = True
-                constructions += used * n_open
                 # closings come in runs, so a block that closed early shortens
                 # the next, and one that did not lets the next grow
                 reach = 2 * used
-                rounds_left -= used
-                if used < n_rounds:
-                    # give back the draws of the rounds after the closing one
-                    rng.bit_generator.state = rewind
-                    rng.random((used, n_open, n_prims))
-                if deadline is not None and time.perf_counter() > deadline:
-                    out_of_time = True
-                    break
+            pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
+            slot = np.flatnonzero(take)
+            pick = pick[slot]
+            improved = open_ants[slot]
+            kept_u[improved] = u[pick, slot]
+            kept_h[improved] = h[pick, slot]
+            kept[improved] = True
+            done[open_ants[ok]] = True
+            model_calls += 1
+            rows_evaluated += n_rounds * n_open
+            constructions += used * n_open
+            rounds_left -= used
+            if used < n_rounds:
+                # give back the draws of the rounds after the closing one
+                rng.bit_generator.state = rewind
+                rng.random((used, n_open, n_prims))
+            if deadline is not None and time.perf_counter() > deadline:
+                out_of_time = True
+                break
+        # the kept rows in full: a row's bits do not depend on its batch, so
+        # these are the values its round's full evaluation gave or would give
+        kept_idx = sampler.draw(kept_u, ant_obj)
+        kept_vecs = np.ascontiguousarray(model.predict_matrix(values[prims, kept_idx], env))
+        kept_viol = model.violation_counts(kept_vecs)
+        model_calls += 1
+        rows_evaluated += n_ant
         t_construct += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -132,7 +132,6 @@ class Simulator:
         self.params = ModelParams.from_dict(scenario.model_params)
         self.rng = np.random.default_rng(seed)
         self.interval = -1
-        self.last_decided = None
         self._pending = []          # horizontal ops queued for the next step
         self._fired = set()         # (pm id, resource) pairs awaiting re-arm
         self._replica_seq = itertools.count(1)
@@ -196,7 +195,6 @@ class Simulator:
                     raise KeyError(f"decision touches unknown primitive {pid}")
                 self.config[pid] = int(value)
                 decided[pid] = int(value)
-        self.last_decided = decided or None
 
         self.interval += 1
         workloads = self._split_workloads(self.interval)

@@ -72,7 +72,8 @@ class RecordingModel(MappedModel):
         """Rows sampled by ants: every batch after the heuristic's two calls.
 
         Blocks of rounds are flattened, and rounds drawn after an ant closed
-        in the block, which the colony discards, are included.
+        in the block, which the colony discards, are included, as are the
+        kept rows each iteration evaluates again at its end.
         """
         assert self.calls[0].shape[0] == sum(len(g) for g in grids)
         assert self.calls[1].shape[0] == 1
@@ -174,7 +175,8 @@ def test_uniform_weights_sample_uniformly():
     cfg = moaco_cfg(max_ant=1000, max_iteration=1, max_run=100)
     optimize(model, None, np.array([0.0]), grids, cfg,
              np.random.default_rng(5), stats=stats)
-    drawn = model.constructed_rows(grids)[:, 0]
+    # the last 1,000 rows are the one iteration's kept rows, drawn again
+    drawn = model.constructed_rows(grids)[:-cfg.max_ant, 0]
     assert drawn.size == stats.constructions == 100_000
     counts = np.array([(drawn == v).sum() for v in grids[0]])
     assert np.allclose(counts / drawn.size, 0.25, atol=0.01)
@@ -652,7 +654,8 @@ def test_block_construction_matches_round_by_round(
 
 def test_block_cap_carries_across_iterations():
     # ants close in the first rounds of every iteration here, so a block
-    # sized anew each iteration would evaluate 2,984 rows for 292 constructions
+    # sized anew each iteration would evaluate 2,984 rows for 292 constructions;
+    # 1,504 rows are the heuristic's, the blocks' and 3 x 40 kept rows
     runtime = toy_runtime(130.0)
     cfg = moaco_cfg(max_ant=40, max_run=30, max_iteration=3)
     rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
@@ -662,7 +665,7 @@ def test_block_cap_carries_across_iterations():
     expected, constructions, _ = reference_optimize(
         runtime.model, runtime.env, runtime.current, runtime.grids, cfg, oracle_rng)
     assert stats.constructions == constructions == 292
-    assert stats.rows_evaluated == 1384
+    assert stats.rows_evaluated == 1504
     assert np.array_equal(archive.rows, expected.rows)
     assert np.array_equal(bits(archive.objectives), bits(expected.objectives))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -748,8 +751,43 @@ def test_uncertified_decisions_build_ants_in_blocks():
              moaco_cfg(max_ant=150, max_run=12, max_iteration=1), np.random.default_rng(3),
              stats=stats)
     assert not stats.footprint_only and stats.unattainable == []
-    assert (6, 150, 12) in shapes[2:]
+    blocks, kept_rows = shapes[2:-1], shapes[-1]
+    assert (6, 150, 12) in blocks
+    assert kept_rows == (150, 12)
     assert stats.model_calls == len(shapes)
+    assert stats.iterations == 1
+    # the heuristic's rows, the blocks' rounds, discarded ones too, and one
+    # iteration's kept rows
+    assert stats.rows_evaluated == (
+        sum(len(g) for g in runtime.grids) + 1
+        + sum(int(np.prod(shape[:-1])) for shape in blocks) + stats.iterations * 150
+    )
+
+
+# the loads of a footprint decision and of a block decision above
+EXPIRY_LOADS = {
+    "footprint": {f"s{i}": 40.0 for i in range(1, 7)},
+    "blocks": {"s1": 95.0, "s2": 85.0, "s3": 68.0, "s4": 72.0, "s5": 75.0, "s6": 85.0},
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXPIRY_LOADS))
+def test_expired_budget_ends_after_one_iteration(path):
+    # a zero budget has expired by the first block, so the first iteration
+    # evaluates its kept rows and the colony stops
+    runtime = triple_runtime(EXPIRY_LOADS[path])
+    model = runtime.model
+    cfg = MoacoConfig(max_ant=150, max_run=30, max_iteration=3, time_budget_s=0.0)
+    stats = OptimizeStats()
+    archive = optimize(model, runtime.env, runtime.current, runtime.grids, cfg,
+                       np.random.default_rng(2), stats=stats)
+    assert stats.footprint_only == (path == "footprint")
+    assert stats.iterations == 1
+    assert stats.model_calls == 2 + 2       # the heuristic's, one block's, the kept rows'
+    assert len(archive) > 0
+    vectors = model.predict_matrix(archive.rows, runtime.env)
+    assert np.array_equal(bits(archive.objectives), bits(vectors))
+    assert np.array_equal(archive.violations, model.violation_counts(vectors))
 
 
 # -- guide-table sampler ----------------------------------------------------

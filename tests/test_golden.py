@@ -5,7 +5,11 @@
 run log's rows without its latency rows, which are wall-clock values. A
 golden file that changes records a behaviour change, and the change that
 causes it says why; a numpy upgrade counts as such a change. The QoS model
-makes no BLAS call, so a BLAS upgrade does not.
+makes no BLAS call, so a BLAS upgrade does not. The model's bits do depend
+on the CPU features numpy dispatches to for float64 ``exp`` and ``**``:
+with AVX-512 dispatch disabled, about 5 % of those results changed in
+their last bit. The golden choices survived that on these two plans, but
+the bytes are only promised on a CPU with the dispatch that wrote them.
 
 Regenerate after an intended behaviour change with
 

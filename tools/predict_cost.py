@@ -136,7 +136,8 @@ def construction_costs(model, env, values, u, sampler, objs) -> dict:
         vectors = model.predict_matrix(values[prims, sampler.draw(u, objs)], env)
         model.violation_counts(vectors)
 
-    # the footprint-only block as colony.optimize builds it
+    # a block scored footprint-only, as colony.optimize's construction loop
+    # scores it; the kept rows' evaluation ends the iteration, not the block
     ants, fp_prims = np.nonzero(model.footprints[objs])
     cells, slots = ants * n_prims + fp_prims, fp_prims * values.shape[1]
     block = np.zeros(u.shape)
