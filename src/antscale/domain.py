@@ -29,9 +29,8 @@ KIND_THROUGHPUT = "throughput"
 KIND_RELIABILITY = "reliability"
 KIND_AVAILABILITY = "availability"
 KIND_COST = "cost"
-KIND_CUSTOM = "custom"
 
-# default optimization direction per objective kind
+# the optimization direction of each objective kind, and the kinds there are
 KIND_DIRECTIONS = {
     KIND_RESPONSE_TIME: MINIMIZE,
     KIND_THROUGHPUT: MAXIMIZE,
@@ -40,9 +39,10 @@ KIND_DIRECTIONS = {
     KIND_COST: MINIMIZE,
 }
 
-MODEL_QUEUE = "interference-queue"
-MODEL_PRICE_SUM = "price-sum"
-KNOWN_MODELS = (MODEL_QUEUE, MODEL_PRICE_SUM)
+# the resource labels the QoS model reads
+RES_CPU = "cpu"
+RES_MEMORY = "memory"
+RES_THREAD = "thread"
 
 
 class ConfigError(Exception):
@@ -139,14 +139,20 @@ class Decision:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A single optimization target tied to one managed service."""
+    """A single optimization target tied to one managed service.
+
+    Its kind alone fixes its direction and its QoS model: a cost is an exact
+    price sum, every other kind a noisy output of the queue model.
+    """
 
     id: str
     kind: str
-    direction: str
     owner: str
     threshold: float      # SLA level or budget, in the objective's unit
-    model: str
+
+    @property
+    def direction(self) -> str:
+        return KIND_DIRECTIONS[self.kind]
 
     def violated(self, value: float) -> bool:
         """Direction-aware requirement check; meeting the threshold exactly passes."""
@@ -230,15 +236,21 @@ class Scenario:
     trace_params: dict = field(default_factory=dict)
 
     def primitives_for_service(self, service_id: str) -> list[str]:
-        """Ids of the primitives that serve one service: its own plus its VM's."""
-        svc = self.topology.service_by_id(service_id)
-        out = []
-        for pid, spec in self.primitives.items():
-            if spec.scope == SCOPE_SERVICE and spec.owner == service_id:
-                out.append(pid)
-            elif spec.scope == SCOPE_VM and spec.owner == svc.vm:
-                out.append(pid)
-        return out
+        """Ids of the primitives a service's objectives read.
+
+        Its own and its VM's, plus what interference adds: the CPU of every
+        VM on its VM's PM and the threads of every service on its VM.
+        """
+        topo = self.topology
+        vm_id = topo.service_by_id(service_id).vm
+        pms = {vm.pm for vm in topo.vms if vm.id == vm_id}
+        shared = {(SCOPE_VM, vm.id, RES_CPU) for vm in topo.vms if vm.pm in pms}
+        shared |= {(SCOPE_SERVICE, svc.id, RES_THREAD) for svc in topo.services_on_vm(vm_id)}
+        return [
+            pid for pid, spec in self.primitives.items()
+            if (spec.scope, spec.owner) in ((SCOPE_SERVICE, service_id), (SCOPE_VM, vm_id))
+            or (spec.scope, spec.owner, spec.resource) in shared
+        ]
 
     def region_by_id(self, region_id: str) -> Region:
         for region in self.regions:
@@ -274,19 +286,13 @@ def _primitive_from_dict(entry: dict) -> ControlPrimitiveSpec:
 
 
 def _objective_from_dict(entry: dict) -> ObjectiveSpec:
-    kind = entry["kind"]
-    direction = entry.get("direction") or KIND_DIRECTIONS.get(kind)
-    if direction is None:
-        raise ConfigError(f"objective {entry.get('id')}: custom kind needs an explicit direction")
-    default_model = MODEL_PRICE_SUM if kind == KIND_COST else MODEL_QUEUE
-    return ObjectiveSpec(
-        id=entry["id"],
-        kind=kind,
-        direction=direction,
-        owner=entry["owner"],
-        threshold=float(entry["threshold"]),
-        model=entry.get("model", default_model),
-    )
+    # the kind fixes direction, model and noise, so no key may set them
+    unknown = sorted(set(entry) - {"id", "kind", "owner", "threshold"})
+    if unknown:
+        raise ConfigError(f"objective {entry.get('id')}: unknown keys {unknown}")
+    if entry["kind"] not in KIND_DIRECTIONS:
+        raise ConfigError(f"objective {entry.get('id')}: unknown kind {entry['kind']!r}")
+    return ObjectiveSpec(entry["id"], entry["kind"], entry["owner"], float(entry["threshold"]))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -390,20 +396,20 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"{where}.resource: {spec.resource!r} has no capacity entry on {pm.id}"
                 )
 
+    owned = {(spec.scope, spec.owner, spec.resource) for spec in scenario.primitives.values()}
     for oid, obj in scenario.objectives.items():
         where = f"objectives[{oid}]"
-        if obj.kind not in KIND_DIRECTIONS and obj.kind != KIND_CUSTOM:
-            problems.append(f"{where}.kind: unknown kind {obj.kind!r}")
-        if obj.direction not in DIRECTIONS:
-            problems.append(f"{where}.direction: {obj.direction!r} not one of {DIRECTIONS}")
-        if obj.kind == KIND_COST and obj.direction != MINIMIZE:
-            problems.append(f"{where}.direction: cost objectives must minimize")
         if obj.owner not in svc_ids:
             problems.append(f"{where}.owner: unknown service {obj.owner!r}")
+        elif obj.kind != KIND_COST:
+            # the queue model reads its VM's cpu and memory and its threads
+            vm = topo.service_by_id(obj.owner).vm
+            reads = {(SCOPE_VM, vm, RES_CPU), (SCOPE_VM, vm, RES_MEMORY),
+                     (SCOPE_SERVICE, obj.owner, RES_THREAD)}
+            for _, owner, resource in sorted(reads - owned):
+                problems.append(f"{where}: the queue model needs a {resource} primitive on {owner!r}")
         if not math.isfinite(obj.threshold) or obj.threshold <= 0:
             problems.append(f"{where}.threshold: must be finite and positive, got {obj.threshold}")
-        if obj.model not in KNOWN_MODELS:
-            problems.append(f"{where}.model: unknown model {obj.model!r}")
 
     seen_objs, seen_prims = set(), set()
     for region in scenario.regions:

@@ -31,6 +31,7 @@ from .metrics import (
     violation_pct,
     write_runlog,
 )
+from .qosmodel import ModelParams
 from .simulator import Simulator, detect_trigger
 
 APPROACHES = ("moaco-cd", "moga", "rule", "hill", "random")
@@ -92,6 +93,15 @@ def _search_budget(scenario: Scenario) -> int:
         return explicit
     moaco = MoacoConfig.from_dict(params.get("moaco", {}))
     return moaco.max_iteration * moaco.max_ant * moaco.max_run
+
+
+def check_settings(scenario: Scenario) -> None:
+    """Raise ConfigError on a bad decider or model setting, whichever approaches run."""
+    params = scenario.algorithm_params
+    MoacoConfig.from_dict(params.get("moaco", {}))
+    baselines.MogaConfig.from_dict(params.get("moga", {}))
+    _search_budget(scenario)
+    ModelParams.from_dict(scenario.model_params)
 
 
 def decide(approach: str, runtime, trigger, observed: dict, scenario: Scenario,
@@ -195,11 +205,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             raise ConfigError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
     if not 0 <= plan.warmup < plan.intervals:
         raise ConfigError("warmup must lie inside the simulated horizon")
-    # a bad decider setting fails the plan here, not at its first decision
-    params = plan.scenario.algorithm_params
-    MoacoConfig.from_dict(params.get("moaco", {}))
-    baselines.MogaConfig.from_dict(params.get("moga", {}))
-    _search_budget(plan.scenario)
+    # a bad setting fails the plan here, not at its first decision
+    check_settings(plan.scenario)
     trace = resolve_trace(plan)
     tasks = [
         (plan.scenario, trace, approach, run_idx, plan)

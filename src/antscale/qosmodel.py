@@ -26,18 +26,21 @@ and ``unattainable`` certifies, from best-case bounds over the grids, the
 requirements that no decision can meet.
 """
 
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .domain import (
     KIND_AVAILABILITY,
+    KIND_COST,
     KIND_RELIABILITY,
     KIND_RESPONSE_TIME,
     KIND_THROUGHPUT,
     MINIMIZE,
-    MODEL_PRICE_SUM,
-    MODEL_QUEUE,
+    RES_CPU,
+    RES_MEMORY,
+    RES_THREAD,
     SCOPE_SERVICE,
     SCOPE_VM,
     ConfigError,
@@ -45,12 +48,10 @@ from .domain import (
     Region,
     Scenario,
     Topology,
+    is_real,
     root_id,
 )
 
-RES_CPU = "cpu"
-RES_MEMORY = "memory"
-RES_THREAD = "thread"
 # relative slack by which a best-case bound must miss a threshold before
 # RegionModel.unattainable flags it, far above any rounding in the model
 UNATTAINABLE_MARGIN = 1e-9
@@ -79,10 +80,13 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelParams":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"model: unknown parameters {sorted(unknown)}")
+        for key, value in doc.items():
+            # an exact compare, so an int too large for a float is refused too
+            if not is_real(value) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"model: {key} must be a finite number, got {value!r}")
         return cls(**{k: float(v) for k, v in doc.items()})
 
 
@@ -259,33 +263,18 @@ class RegionModel:
         pm_index = {pid: i for i, pid in enumerate(pm_ids)}
         self._pm_of_vm = np.array([pm_index[vm.pm] for vm in vms])
 
-        cpu_idx, mem_idx = {}, {}
-        thr_idx = {}
-        for pid, spec in prim_specs.items():
-            if spec.scope == SCOPE_VM and spec.resource == RES_CPU:
-                cpu_idx[spec.owner] = self._all_index[pid]
-            elif spec.scope == SCOPE_VM and spec.resource == RES_MEMORY:
-                mem_idx[spec.owner] = self._all_index[pid]
-            elif spec.scope == SCOPE_SERVICE and spec.resource == RES_THREAD:
-                thr_idx[spec.owner] = self._all_index[pid]
-
         services = list(topology.services)
         self._service_ids = [svc.id for svc in services]
         svc_index = {svc.id: i for i, svc in enumerate(services)}
-        needs_queue = {o.owner for o in self.objectives if o.model == MODEL_QUEUE}
-        for svc in services:
-            if svc.id in needs_queue:
-                vm = svc.vm
-                if vm not in cpu_idx or vm not in mem_idx or svc.id not in thr_idx:
-                    raise ConfigError(
-                        f"service {svc.id}: queue model needs a VM cpu, VM memory "
-                        f"and service thread primitive"
-                    )
         self._vm_of_service = np.array([vm_index[svc.vm] for svc in services])
-        # only VMs that actually carry modelled services need cpu/mem columns
-        self._cpu_col = np.array([cpu_idx.get(v, -1) for v in self._vm_ids])
-        self._mem_col = np.array([mem_idx.get(v, -1) for v in self._vm_ids])
-        self._thr_col = np.array([thr_idx.get(s, -1) for s in self._service_ids])
+        # each VM's cpu and memory and each service's threads, or -1 for none
+        col_of = {(spec.scope, spec.owner, spec.resource): self._all_index[pid]
+                  for pid, spec in prim_specs.items()}
+        self._cpu_col = np.array([col_of.get((SCOPE_VM, v, RES_CPU), -1) for v in self._vm_ids])
+        self._mem_col = np.array([col_of.get((SCOPE_VM, v, RES_MEMORY), -1) for v in self._vm_ids])
+        self._thr_col = np.array(
+            [col_of.get((SCOPE_SERVICE, s, RES_THREAD), -1) for s in self._service_ids]
+        )
         self._services_per_vm = np.bincount(self._vm_of_service, minlength=len(vms)).astype(float)
         self._services_per_vm[self._services_per_vm == 0] = 1.0
 
@@ -309,7 +298,7 @@ class RegionModel:
         ]
 
         self._kinds = [o.kind for o in self.objectives]
-        self._noise_kinds = np.array([o.model == MODEL_QUEUE for o in self.objectives])
+        self._noise_kinds = np.array([o.kind != KIND_COST for o in self.objectives])
 
         # each service's replica group, and _weights without workloads
         roots = {}
@@ -342,7 +331,7 @@ class RegionModel:
                 group_weights.append(
                     [n_services] * len(members) if obj.kind == KIND_THROUGHPUT else members
                 )
-            elif obj.model == MODEL_PRICE_SUM:
+            else:
                 # replicas bill against the root service they serve
                 member_ids = {services[s].id for s in members}
                 member_vms = {services[s].vm for s in members}
@@ -357,10 +346,6 @@ class RegionModel:
                 cost_js.append(j)
                 cost_reads.append([col for col, _ in priced])
                 cost_prices.append([price for _, price in priced])
-            else:
-                raise ConfigError(
-                    f"objective {self.objective_ids[j]}: no evaluator for {obj.kind}"
-                )
         self._single_js = np.array(single_js, dtype=int)
         self._single_planes = np.array(single_planes, dtype=int)
         self._single_cols = np.array(single_cols, dtype=int)

@@ -79,7 +79,7 @@ def load_trace_csv(path) -> dict:
     """Read a trace CSV back into service -> series form, checking shape.
 
     Raises ConfigError on a malformed header, gaps in the interval sequence,
-    negative loads, or series of unequal length.
+    loads that are negative or not finite, or series of unequal length.
     """
     per_service = {}
     with open(path, newline="") as fh:
@@ -96,8 +96,8 @@ def load_trace_csv(path) -> dict:
                 load = float(row[2])
             except (IndexError, ValueError) as exc:
                 raise ConfigError(f"trace {path}:{row_no}: malformed row {row!r}") from exc
-            if load < 0:
-                raise ConfigError(f"trace {path}:{row_no}: negative load {load}")
+            if not 0 <= load < np.inf:
+                raise ConfigError(f"trace {path}:{row_no}: load {load} is negative or not finite")
             per_service.setdefault(service_id, {})[interval] = load
     if not per_service:
         raise ConfigError(f"trace {path}: no data rows")

@@ -37,6 +37,29 @@ def triple_doc() -> dict:
     return _doc(TRIPLE_PATH)
 
 
+def smoke_without_vm_memory_doc() -> dict:
+    """smoke with no memory primitive on v1, which both services' queue models read."""
+    doc = smoke_doc()
+    doc["primitives"] = [p for p in doc["primitives"] if p["id"] != "v1.memory"]
+    doc["regions"][0]["primitives"].remove("v1.memory")
+    return doc
+
+
+def triple_split_doc() -> dict:
+    """triple_vm with v2's primitives, s3's and s4's threads and objectives in a region r2.
+
+    Every VM shares pm1, so r1's s1.rt still reads v2.cpu, which r2 decides.
+    """
+    doc = triple_doc()
+    moved = ["v2.cpu", "v2.memory", "s3.thread", "s4.thread"]
+    r1 = doc["regions"][0]
+    objectives = [oid for oid in r1["objectives"] if oid.split(".")[0] in ("s3", "s4")]
+    r1["objectives"] = [oid for oid in r1["objectives"] if oid not in objectives]
+    r1["primitives"] = [pid for pid in r1["primitives"] if pid not in moved]
+    doc["regions"].append({"id": "r2", "objectives": objectives, "primitives": moved})
+    return doc
+
+
 def toy_doc() -> dict:
     """One service with two free knobs of three values each.
 

@@ -15,7 +15,7 @@ from antscale.domain import (
     scenario_from_dict,
     validate_scenario,
 )
-from conftest import smoke_doc, toy_doc
+from conftest import smoke_doc, toy_doc, triple_split_doc
 
 
 def cpu_spec(**overrides) -> ControlPrimitiveSpec:
@@ -130,13 +130,24 @@ def test_validate_catches_region_member_outside_scenario():
 
 
 def test_validate_catches_maximized_cost():
+    # the kind fixes the direction, so the parser refuses the key
     doc = smoke_doc()
     for entry in doc["objectives"]:
         if entry["kind"] == "cost":
             entry["direction"] = "maximize"
             break
-    problems = validate_scenario(scenario_from_dict(doc))
-    assert any("cost" in p for p in problems)
+    with pytest.raises(ConfigError, match=r"objective s1\.cost: unknown keys \['direction'\]"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model", "price-sum"), ("direction", "minimize"), ("unit", "req/min"),
+])
+def test_parser_refuses_an_objective_key_other_than_the_four(key, value):
+    doc = smoke_doc()
+    doc["objectives"][1][key] = value
+    with pytest.raises(ConfigError, match=rf"objective s1\.tp: unknown keys \['{key}'\]"):
+        scenario_from_dict(doc)
 
 
 def test_initial_configuration_is_on_grid(triple_scenario):
@@ -146,8 +157,19 @@ def test_initial_configuration_is_on_grid(triple_scenario):
 
 
 def test_primitives_for_service_includes_shared_vm_knobs(smoke_scenario):
+    # s2 shares s1's VM, so its threads compete with s1's
     pids = set(smoke_scenario.primitives_for_service("s1"))
-    assert pids == {"s1.thread", "v1.cpu", "v1.memory"}
+    assert pids == {"s1.thread", "s2.thread", "v1.cpu", "v1.memory"}
+
+
+def test_region_check_covers_the_reads_interference_adds(triple_scenario):
+    # every VM shares pm1: s1 reads every VM's CPU and s2's threads too
+    assert set(triple_scenario.primitives_for_service("s1")) == {
+        "v1.cpu", "v1.memory", "v2.cpu", "v3.cpu", "s1.thread", "s2.thread",
+    }
+    problems = validate_scenario(scenario_from_dict(triple_split_doc()))
+    assert "regions[r1]: objective 's1.rt' reads primitive 'v2.cpu' outside the region" in problems
+    assert "regions[r2]: objective 's3.rt' reads primitive 'v1.cpu' outside the region" in problems
 
 
 def test_validate_catches_unknown_scope():

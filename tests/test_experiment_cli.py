@@ -1,5 +1,6 @@
 """Experiment harness wiring and the command-line entry points."""
 
+import functools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from antscale.experiment import (
 from antscale.metrics import read_runlog, violation_pct
 from antscale.simulator import Simulator, detect_trigger
 from antscale.traces import load_trace_csv
-from conftest import SMOKE_PATH, smoke_doc
+from conftest import SMOKE_PATH, smoke_doc, smoke_without_vm_memory_doc, triple_split_doc
 
 
 def mini_plan(scenario, out_dir, approaches=("rule", "random"), runs=2, seed=11):
@@ -347,6 +348,9 @@ def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     err = capsys.readouterr().err
     assert err.startswith("error: moaco: ") and setting in err
     assert not (tmp_path / "out").exists()
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moaco: ") and setting in err
 
 
 def assert_rule_plan_refused(tmp_path, capsys, block, setting, value):
@@ -376,3 +380,69 @@ def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path, capsys):
 @pytest.mark.parametrize("value", [0, -3, 7.5, True, "200"])
 def test_bad_search_evaluations_fail_a_plan_that_does_not_search(tmp_path, capsys, value):
     assert_rule_plan_refused(tmp_path, capsys, "search", "evaluations", value)
+
+
+def exit_code(argv) -> int:
+    """``cli.main``'s status, whether it returns it or exits with it."""
+    try:
+        return cli.main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+def smoke_objective(oid, key, value) -> dict:
+    """The smoke document with ``key`` set on its objective ``oid``."""
+    doc = smoke_doc()
+    next(o for o in doc["objectives"] if o["id"] == oid)[key] = value
+    return doc
+
+
+def smoke_with(block, key, value) -> dict:
+    doc = smoke_doc()
+    doc[block][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("make_doc, named", [
+    (functools.partial(smoke_objective, "s1.rt", "kind", "custom"), "s1.rt"),
+    (functools.partial(smoke_objective, "s1.cost", "model", "interference-queue"), "s1.cost"),
+    (functools.partial(smoke_objective, "s1.tp", "model", "price-sum"), "s1.tp"),
+    (functools.partial(smoke_objective, "s1.tp", "direction", "minimize"), "s1.tp"),
+    (functools.partial(smoke_objective, "s1.cost", "direction", "maximize"), "s1.cost"),
+    (smoke_without_vm_memory_doc, "objectives[s1.rt]"),
+    (lambda: smoke_with("algorithms", "moaco", {"rho": 1.5}), "rho"),
+    (lambda: smoke_with("model", "cpu_rate", "nan"), "cpu_rate"),
+    (triple_split_doc, "'s1.rt' reads primitive 'v2.cpu'"),
+], ids=[
+    "custom-kind", "cost-model", "throughput-price-sum", "minimized-throughput",
+    "maximized-cost", "no-vm-memory", "moaco-rho", "nan-model-coefficient", "triple-split",
+])
+def test_validate_and_run_both_refuse_a_bad_scenario(tmp_path, capsys, make_doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make_doc()))
+    assert exit_code(["validate", "--scenario", str(path)]) != 0
+    captured = capsys.readouterr()
+    assert named in captured.out + captured.err
+    assert exit_code([
+        "run", "--scenario", str(path), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_nan_trace_load(tmp_path, capsys):
+    # validate takes no trace; run refuses it while loading, before any file
+    trace = tmp_path / "trace.csv"
+    trace.write_text("interval,service_id,req_per_min\n" + "".join(
+        f"{t},{sid},{'nan' if (t, sid) == (2, 's2') else 50}\n"
+        for t in range(4) for sid in ("s1", "s2")
+    ))
+    assert cli.main([
+        "run", "--scenario", str(SMOKE_PATH), "--trace", str(trace), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ]) == 2
+    assert f"error: trace {trace}:7: load nan is negative or not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

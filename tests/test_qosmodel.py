@@ -14,9 +14,11 @@ from antscale.domain import (
     SCOPE_SERVICE,
     ConfigError,
     Decision,
+    Scenario,
     is_replica,
     root_id,
     scenario_from_dict,
+    validate_scenario,
 )
 from antscale.qosmodel import (
     ModelParams,
@@ -27,7 +29,7 @@ from antscale.qosmodel import (
     utilization,
 )
 from antscale.simulator import EnvironmentState, Simulator
-from conftest import smoke_doc, triple_doc
+from conftest import smoke_doc, smoke_without_vm_memory_doc, triple_doc
 
 
 def build_model(scenario, region_id="r1"):
@@ -224,22 +226,28 @@ def test_model_params_reject_unknown_keys():
         ModelParams.from_dict({"cpu_rtae": 6.0})
 
 
+@pytest.mark.parametrize("value", ["nan", True, "1e400", float("nan"), float("inf"), 10**400],
+                         ids=["nan-string", "true", "1e400-string", "nan", "inf", "10**400"])
+def test_model_params_reject_a_value_that_is_not_a_finite_number(value):
+    with pytest.raises(ConfigError, match="model: cpu_rate must be a finite number"):
+        ModelParams.from_dict({"cpu_rate": value})
+
+
 def test_queue_service_needs_all_three_primitives():
-    doc = smoke_doc()
-    doc["primitives"] = [p for p in doc["primitives"] if p["id"] != "v1.memory"]
-    doc["regions"][0]["primitives"].remove("v1.memory")
-    scenario = scenario_from_dict(doc)
-    sim = Simulator(scenario, {"s1": [50.0], "s2": [50.0]}, seed=0)
-    with pytest.raises(ConfigError):
-        sim.region_model("r1")
+    # refused by validate_scenario, which both validate and run apply
+    problems = validate_scenario(scenario_from_dict(smoke_without_vm_memory_doc()))
+    assert [p for p in problems if "queue model" in p] == [
+        f"objectives[{oid}]: the queue model needs a memory primitive on 'v1'"
+        for oid in ("s1.rt", "s1.tp", "s2.rt", "s2.tp")
+    ]
 
 
 def test_objective_without_evaluator_fails_at_construction():
+    # a kind without an evaluator is refused when the scenario is built
     doc = smoke_doc()
     doc["objectives"][0]["kind"] = "custom"
-    doc["objectives"][0]["direction"] = "minimize"
-    with pytest.raises(ConfigError, match="no evaluator"):
-        build_model(scenario_from_dict(doc))
+    with pytest.raises(ConfigError, match=r"objective s1\.rt: unknown kind 'custom'"):
+        scenario_from_dict(doc)
 
 
 # -- oracle: the model one objective at a time, in plain Python loops --------
@@ -583,6 +591,19 @@ def test_footprints_follow_the_topology(triple_scenario):
     assert read("s3.rt") == cpus | {"v2.memory", "s3.thread", "s4.thread"}
     assert read("s3.tp") == read("s3.rel") == read("s3.avail") == read("s3.rt")
     assert read("s3.cost") == {"v2.cpu", "v2.memory", "s3.thread"}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_primitives_for_service_holds_every_primitive_the_model_reads(case):
+    model, _, _, _, specs = oracle_case(case)
+    live = Scenario("live", model.topology, specs, {}, [])
+    read_ids = np.append(model.all_pids, "")    # the trailing zero column
+    for members in model._member_idx:
+        reads = set(read_ids[model._unit_cols[:, members].ravel()]) - {""}
+        allowed = set().union(
+            *(live.primitives_for_service(model._service_ids[m]) for m in members)
+        )
+        assert reads <= allowed
 
 
 def smoke_space(grids):

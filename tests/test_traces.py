@@ -76,6 +76,14 @@ def test_load_rejects_negative_rate(tmp_path):
         load_trace_csv(path)
 
 
+@pytest.mark.parametrize("load", ["nan", "inf", "-inf", "NaN"])
+def test_load_rejects_a_load_that_is_not_finite(tmp_path, load):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"interval,service_id,req_per_min\n0,s1,10\n1,s1,{load}\n")
+    with pytest.raises(ConfigError, match=":3: load"):
+        load_trace_csv(path)
+
+
 def test_load_rejects_ragged_series(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text(

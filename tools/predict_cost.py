@@ -9,9 +9,13 @@ and the selection cdfs of its first iteration. From those cdfs 150 ants, one per
 draw a seeded block of 6 rounds, ``(rounds, ants, primitives)``. Then:
 
 - ``predict_matrix_us_per_call``: rows of that block, repeated as needed,
-  are timed at k = 1, 150 and 1500 rows per 2-D call, and as one stacked
-  call of 6 rounds of 150 ants (``k_6x150``, 900 rows), the colony's block
-  shape while 150 ants are open;
+  are timed at k = 1 and 150 rows per 2-D call, and as one stacked call of
+  6 rounds of 150 ants (``k_6x150``, 900 rows), the colony's block shape
+  while 150 ants are open;
+- ``own_objective_us_per_call``: ``RegionModel.own_objective`` on the
+  same rows as one block of 20 rounds of 150 ants (``k_20x150``, 3,000
+  rows, ``colony.FOOTPRINT_BLOCK_ROWS``), each ant's own objective, the
+  colony's block shape when it scores footprints;
 - ``violation_counts_us_per_call``: ``RegionModel.violation_counts`` on the
   objectives that ``k_6x150`` call returns, as the colony counts a block;
 - ``ant_sampling_us_per_round``: the ants draw one round from the cdfs by
@@ -46,7 +50,7 @@ from antscale.domain import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 INTERVALS = 70          # the moaco-triple plan, and every scale-out it makes
-SIZES = (1, 150, 1500)
+SIZES = (1, 150)
 ANTS = 150
 ROUNDS = 6
 REPEATS = 7
@@ -100,14 +104,20 @@ def predict_costs(model, block, env) -> dict:
     rows = block.reshape(-1, block.shape[-1])
     costs = {
         f"k_{k}": us_per_call(
-            lambda batch=np.resize(rows, (k, rows.shape[1])): model.predict_matrix(batch, env),
-            1000 if k <= 150 else 100,
+            lambda batch=np.resize(rows, (k, rows.shape[1])): model.predict_matrix(batch, env), 1000,
         )
         for k in SIZES
     }
     stacked = np.resize(rows, (ROUNDS, ANTS, rows.shape[1]))
     costs[f"k_{ROUNDS}x{ANTS}"] = us_per_call(lambda: model.predict_matrix(stacked, env), 100)
     return costs
+
+
+def own_objective_costs(model, block, env, objs) -> dict:
+    rows = block.reshape(-1, block.shape[-1])
+    rounds = colony.FOOTPRINT_BLOCK_ROWS // ANTS
+    stacked = np.resize(rows, (rounds, ANTS, rows.shape[1]))
+    return {f"k_{rounds}x{ANTS}": us_per_call(lambda: model.own_objective(stacked, env, objs), 100)}
 
 
 def violation_costs(model, block, env) -> dict:
@@ -156,7 +166,7 @@ def construction_costs(model, env, values, u, sampler, objs) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         captured = capture(Path(tmp))
-    predict, violations, sampling, construction = {}, {}, {}, {}
+    predict, own, violations, sampling, construction = {}, {}, {}, {}, {}
     for n_prims, (model, env, grids, cdf) in sorted(captured.items()):
         values, _ = colony.grid_table(grids)
         objs = np.arange(ANTS) % cdf.shape[0]
@@ -165,6 +175,7 @@ def main() -> int:
         block = values[np.arange(values.shape[0]), sampler.draw(u, objs)]
         key = f"primitives_{n_prims}"
         predict[key] = {k: round(v, 1) for k, v in predict_costs(model, block, env).items()}
+        own[key] = {k: round(v, 1) for k, v in own_objective_costs(model, block, env, objs).items()}
         violations[key] = {k: round(v, 1) for k, v in violation_costs(model, block, env).items()}
         sampling[f"{key}_ants_{ANTS}"] = {
             k: round(v, 1) for k, v in sampling_costs(cdf).items()
@@ -174,7 +185,8 @@ def main() -> int:
             for k, v in construction_costs(model, env, values, u, sampler, objs).items()
         }
     print(json.dumps({
-        "predict_matrix_us_per_call": predict, "violation_counts_us_per_call": violations,
+        "predict_matrix_us_per_call": predict, "own_objective_us_per_call": own,
+        "violation_counts_us_per_call": violations,
         "ant_sampling_us_per_round": sampling, "construction_us_per_block": construction,
     }))
     return 0
