@@ -12,13 +12,12 @@ grid values appear only in the batches sent to the model and in the result.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .colony import grid_table
 from .domain import (
-    SCOPE_SERVICE, SCOPE_VM, ConfigError, Decision, is_integer, is_real, root_id,
+    SCOPE_SERVICE, SCOPE_VM, Decision, MogaConfig, root_id,
 )
 from .dominance import DecisionArchive, pareto, wins
 from .simulator import TRIGGER_LOW_UTIL, TRIGGER_SLA
@@ -209,37 +208,6 @@ def _row_decision(runtime, row) -> Decision:
 
 
 # -- genetic front optimizer -----------------------------------------------
-
-
-@dataclass
-class MogaConfig:
-    population: int = 100
-    generations: int = 50
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None   # default 1 / number of primitives
-    time_budget_s: float | None = None
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MogaConfig":
-        # the plan's per-decision budget sets time_budget_s; a scenario may not
-        known = set(cls.__dataclass_fields__) - {"time_budget_s"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"moga: unknown parameters {sorted(unknown)}")
-        cfg = cls(**doc)
-        if not is_integer(cfg.population) or cfg.population < 2 or cfg.population % 2:
-            raise ConfigError(
-                f"moga: population must be a positive even integer, got {cfg.population!r}")
-        if not is_integer(cfg.generations) or cfg.generations < 0:
-            raise ConfigError(
-                f"moga: generations must be an integer >= 0, got {cfg.generations!r}")
-        rates = {"crossover_rate": cfg.crossover_rate}
-        if cfg.mutation_rate is not None:
-            rates["mutation_rate"] = cfg.mutation_rate
-        for name, value in rates.items():
-            if not is_real(value) or not 0 <= value <= 1:
-                raise ConfigError(f"moga: {name} must lie in [0, 1], got {value!r}")
-        return cfg
 
 
 def nondominated_ranks(vectors: np.ndarray, signs) -> tuple:

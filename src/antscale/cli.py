@@ -6,7 +6,7 @@ import sys
 
 from . import traces
 from .domain import ConfigError, load_scenario, validate_scenario
-from .experiment import APPROACHES, ExperimentPlan, check_settings, resolve_trace, run_experiment
+from .experiment import APPROACHES, ExperimentPlan, resolve_trace, run_experiment
 
 
 def _load_checked(path: str):
@@ -71,7 +71,6 @@ def cmd_validate(args) -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    check_settings(scenario)
     print(f"{args.scenario}: ok ({len(scenario.objectives)} objectives, "
           f"{len(scenario.primitives)} primitives)")
     return 0

@@ -38,13 +38,12 @@ the same draws either way, so both build the same archive; which one runs
 follows from each decision's model, grids and workloads.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ConfigError, is_integer, is_real
+from .domain import MoacoConfig
 from .dominance import DecisionArchive
 
 EPS = 1e-9
@@ -57,42 +56,6 @@ FOOTPRINT_BLOCK_ROWS = 3000
 # buckets per grid of the sampler's guide table; a power of two, so that
 # scaling a uniform or a cdf value by it is exact
 GUIDE_BUCKETS = 256
-
-
-@dataclass
-class MoacoConfig:
-    """Tuning knobs for one optimizer invocation."""
-
-    alpha: float = 4.0            # pheromone exponent in value selection
-    beta: float = 1.0             # heuristic exponent
-    rho: float = 0.1              # evaporation rate
-    floor_ratio: float = 0.5      # trail floor as a fraction of the ceiling
-    max_iteration: int = 5
-    max_ant: int = 150
-    max_run: int = 100            # construction retries per ant
-    time_budget_s: float | None = None
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MoacoConfig":
-        # the plan's per-decision budget sets time_budget_s; a scenario may not
-        known = set(cls.__dataclass_fields__) - {"time_budget_s"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"moaco: unknown parameters {sorted(unknown)}")
-        cfg = cls(**doc)
-        for name in ("max_iteration", "max_ant", "max_run"):
-            value = getattr(cfg, name)
-            if not is_integer(value) or value < 1:
-                raise ConfigError(f"moaco: {name} must be a positive integer, got {value!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(cfg, name)
-            if not is_real(value) or not 0 <= value < math.inf:
-                raise ConfigError(f"moaco: {name} must be a finite number >= 0, got {value!r}")
-        if not is_real(cfg.rho) or not 0 < cfg.rho < 1:
-            raise ConfigError(f"moaco: rho must lie in (0, 1), got {cfg.rho!r}")
-        if not is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
-            raise ConfigError(f"moaco: floor_ratio must lie in (0, 1], got {cfg.floor_ratio!r}")
-        return cfg
 
 
 def grid_table(grids):

@@ -5,12 +5,18 @@ are the per-service quality and cost targets, and a region groups the
 objectives that must be decided together with the primitives that drive them.
 All grid values are integers in the primitive's smallest unit so that
 equality, hashing and CSV round-trips stay exact.
+
+:func:`scenario_from_dict` is the one reader of a scenario document: it
+checks every key and number once and builds the typed settings (the QoS
+model's coefficients, the colony's and the genetic search's configs) that
+every other module reads from the :class:`Scenario`.
 """
 
 import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 MINIMIZE = "minimize"
@@ -57,6 +63,48 @@ def is_integer(value) -> bool:
 
 def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_REQUIRED = object()
+
+
+def _read(where: str, doc: dict, key: str, kind, default=_REQUIRED):
+    """``doc[key]``, or ``default`` when it is absent, under the document's type rule.
+
+    Every number in a scenario document follows one rule: an integer is
+    integral (``is_integer``), a real is a finite ``is_real`` and a flag is
+    a bool. Anything else, a string, a bool where a number is due or a
+    fraction where an integer is due, raises a ConfigError naming ``where``
+    and ``key``. A missing key without a default raises KeyError.
+    """
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise KeyError(key)
+    if kind is bool:
+        ok, due = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, due = is_integer(value), "an integer"
+    else:
+        # an exact compare, so an int too large for a float is refused too
+        ok, due = is_real(value) and abs(value) <= sys.float_info.max, "a finite number"
+    if not ok:
+        raise ConfigError(f"{where}: {key} must be {due}, got {value!r}")
+    return kind(value)
+
+
+def _block(where: str, doc, known=None) -> dict:
+    """``doc`` if it is an object whose keys all lie in ``known`` (any when None)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known)) if known is not None else []
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return doc
+
+
+def _reals(where: str, doc) -> dict:
+    """An object of finite numbers under any keys, read as floats."""
+    return {key: _read(where, doc, key, float) for key in _block(where, doc)}
 
 
 def replica_id(base: str, n: int) -> str:
@@ -222,18 +270,113 @@ class Region:
     primitive_ids: tuple = ()
 
 
+@dataclass(frozen=True)
+class ModelParams:
+    """Coefficients of the synthetic environment, all overridable per scenario."""
+
+    cpu_rate: float = 6.0             # req/min served per effective CPU% share
+    thread_rate: float = 14.0         # req/min served per service thread
+    overload_penalty: float = 10.0    # req/min lost per thread beyond saturation
+    thread_sat_per_mb: float = 0.04   # threads a VM's memory can back, per MB
+    cpu_contention_limit: float = 95.0  # per-PM CPU use before contention bites
+    rt_base_ms: float = 0.5           # service time at an idle queue
+    rel_slope: float = 2.0            # steepness of the reliability response, per ms
+    avail_slope: float = 2.0
+    avail_rt_ref_ms: float = 4.0      # response level counted against availability
+    rel_rt_ref_ms: float = 2.0        # fallback when the owner has no RT target
+    min_capacity: float = 1.0
+    noise_std: float = 0.05
+    cpu_demand_per_req: float = 0.12  # demand proxies, per req/min of workload
+    mem_demand_base: float = 180.0
+    mem_demand_per_req: float = 0.15
+    thread_demand_per_req: float = 0.03
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ModelParams":
+        doc = _block("model", doc, cls.__dataclass_fields__)
+        return cls(**{key: _read("model", doc, key, float) for key in doc})
+
+
+@dataclass(frozen=True)
+class MoacoConfig:
+    """Tuning knobs for one optimizer invocation."""
+
+    alpha: float = 4.0            # pheromone exponent in value selection
+    beta: float = 1.0             # heuristic exponent
+    rho: float = 0.1              # evaporation rate
+    floor_ratio: float = 0.5      # trail floor as a fraction of the ceiling
+    max_iteration: int = 5
+    max_ant: int = 150
+    max_run: int = 100            # construction retries per ant
+    time_budget_s: float | None = None
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "MoacoConfig":
+        # the plan's per-decision budget sets time_budget_s; a scenario may not
+        cfg = cls(**_block("moaco", doc, set(cls.__dataclass_fields__) - {"time_budget_s"}))
+        for name in ("max_iteration", "max_ant", "max_run"):
+            value = getattr(cfg, name)
+            if not is_integer(value) or value < 1:
+                raise ConfigError(f"moaco: {name} must be a positive integer, got {value!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(cfg, name)
+            if not is_real(value) or not 0 <= value < math.inf:
+                raise ConfigError(f"moaco: {name} must be a finite number >= 0, got {value!r}")
+        if not is_real(cfg.rho) or not 0 < cfg.rho < 1:
+            raise ConfigError(f"moaco: rho must lie in (0, 1), got {cfg.rho!r}")
+        if not is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
+            raise ConfigError(f"moaco: floor_ratio must lie in (0, 1], got {cfg.floor_ratio!r}")
+        return cfg
+
+
+@dataclass(frozen=True)
+class MogaConfig:
+    population: int = 100
+    generations: int = 50
+    crossover_rate: float = 0.9
+    mutation_rate: float | None = None   # default 1 / number of primitives
+    time_budget_s: float | None = None
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "MogaConfig":
+        # the plan's per-decision budget sets time_budget_s; a scenario may not
+        cfg = cls(**_block("moga", doc, set(cls.__dataclass_fields__) - {"time_budget_s"}))
+        if not is_integer(cfg.population) or cfg.population < 2 or cfg.population % 2:
+            raise ConfigError(
+                f"moga: population must be a positive even integer, got {cfg.population!r}")
+        if not is_integer(cfg.generations) or cfg.generations < 0:
+            raise ConfigError(
+                f"moga: generations must be an integer >= 0, got {cfg.generations!r}")
+        rates = {"crossover_rate": cfg.crossover_rate}
+        if cfg.mutation_rate is not None:
+            rates["mutation_rate"] = cfg.mutation_rate
+        for name, value in rates.items():
+            if not is_real(value) or not 0 <= value <= 1:
+                raise ConfigError(f"moga: {name} must lie in [0, 1], got {value!r}")
+        return cfg
+
+
 @dataclass
 class Scenario:
-    """Everything needed to run one experiment: layout, knobs, targets, tuning."""
+    """Everything needed to run one experiment: layout, knobs, targets, tuning.
+
+    :func:`scenario_from_dict` reads every setting once, when the scenario
+    loads; the QoS model, the deciders and trace synthesis take theirs from
+    these fields.
+    """
 
     name: str
     topology: Topology
     primitives: dict          # primitive id -> ControlPrimitiveSpec
     objectives: dict          # objective id -> ObjectiveSpec
     regions: list
-    model_params: dict = field(default_factory=dict)
-    algorithm_params: dict = field(default_factory=dict)
-    trace_params: dict = field(default_factory=dict)
+    model: ModelParams
+    moaco: MoacoConfig
+    moga: MogaConfig
+    search_evaluations: int   # hill and random's model rows per decision
+    trace_peak: float         # synthetic trace: req/min at the spike
+    trace_noise: float        # synthetic trace: relative jitter per interval
+    trace_profiles: dict      # synthetic trace: managed service id -> load scale
 
     def primitives_for_service(self, service_id: str) -> list[str]:
         """Ids of the primitives a service's objectives read.
@@ -262,49 +405,76 @@ class Scenario:
         return {pid: spec.initial for pid, spec in self.primitives.items()}
 
 
+_PRIMITIVE_KEYS = (
+    "id", "scope", "owner", "resource", "unit", "initial", "step", "min", "max",
+    "hard_min", "hard_max", "price", "util_trigger", "adapt_threshold", "adapt_fraction",
+)
+
+
 def _primitive_from_dict(entry: dict) -> ControlPrimitiveSpec:
-    lower = int(entry["min"])
-    upper = int(entry["max"])
+    where = f"primitive {entry.get('id')}"
+    _block(where, entry, _PRIMITIVE_KEYS)
+    lower = _read(where, entry, "min", int)
+    upper = _read(where, entry, "max", int)
     return ControlPrimitiveSpec(
         id=entry["id"],
         scope=entry["scope"],
         owner=entry["owner"],
         resource=entry["resource"],
         unit=entry.get("unit", ""),
-        initial=int(entry["initial"]),
-        step=int(entry["step"]),
+        initial=_read(where, entry, "initial", int),
+        step=_read(where, entry, "step", int),
         base_lower=lower,
         lower_bound=lower,
         upper_bound=upper,
-        hard_min=int(entry.get("hard_min", lower)),
-        hard_max=int(entry.get("hard_max", upper)),
-        price=float(entry.get("price", 0.0)),
-        util_trigger=float(entry.get("util_trigger", 0.5)),
-        adapt_threshold=float(entry.get("adapt_threshold", 0.7)),
-        adapt_fraction=float(entry.get("adapt_fraction", 0.1)),
+        hard_min=_read(where, entry, "hard_min", int, lower),
+        hard_max=_read(where, entry, "hard_max", int, upper),
+        price=_read(where, entry, "price", float, 0.0),
+        util_trigger=_read(where, entry, "util_trigger", float, 0.5),
+        adapt_threshold=_read(where, entry, "adapt_threshold", float, 0.7),
+        adapt_fraction=_read(where, entry, "adapt_fraction", float, 0.1),
     )
 
 
 def _objective_from_dict(entry: dict) -> ObjectiveSpec:
     # the kind fixes direction, model and noise, so no key may set them
-    unknown = sorted(set(entry) - {"id", "kind", "owner", "threshold"})
-    if unknown:
-        raise ConfigError(f"objective {entry.get('id')}: unknown keys {unknown}")
+    where = f"objective {entry.get('id')}"
+    _block(where, entry, ("id", "kind", "owner", "threshold"))
     if entry["kind"] not in KIND_DIRECTIONS:
-        raise ConfigError(f"objective {entry.get('id')}: unknown kind {entry['kind']!r}")
-    return ObjectiveSpec(entry["id"], entry["kind"], entry["owner"], float(entry["threshold"]))
+        raise ConfigError(f"{where}: unknown kind {entry['kind']!r}")
+    return ObjectiveSpec(entry["id"], entry["kind"], entry["owner"],
+                         _read(where, entry, "threshold", float))
+
+
+def _entries(label: str, docs, keys) -> list:
+    return [_block(f"{label} {entry.get('id')}", entry, keys) for entry in docs]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document. Structural errors raise ConfigError."""
+    """Build a Scenario from a parsed JSON document, reading every setting once.
+
+    A missing or unknown key, or a value that breaks the type rule of
+    :func:`_read`, raises ConfigError; ranges and references are left to
+    :func:`validate_scenario`.
+    """
+    _block("scenario", doc, (
+        "name", "topology", "primitives", "objectives", "regions", "model", "algorithms", "trace",
+    ))
     try:
-        topo_doc = doc["topology"]
+        topo_doc = _block("topology", doc["topology"], ("pms", "vms", "services"))
         topology = Topology(
-            pms=tuple(PhysicalMachine(p["id"], dict(p.get("capacity", {}))) for p in topo_doc["pms"]),
-            vms=tuple(VirtualMachine(v["id"], v["pm"]) for v in topo_doc["vms"]),
+            pms=tuple(
+                PhysicalMachine(p["id"], _reals(f"pm {p['id']} capacity", p.get("capacity", {})))
+                for p in _entries("pm", topo_doc["pms"], ("id", "capacity"))
+            ),
+            vms=tuple(
+                VirtualMachine(v["id"], v["pm"])
+                for v in _entries("vm", topo_doc["vms"], ("id", "pm"))
+            ),
             services=tuple(
-                ServiceInstance(s["id"], s["vm"], bool(s.get("managed", True)))
-                for s in topo_doc["services"]
+                ServiceInstance(s["id"], s["vm"],
+                                _read(f"service {s['id']}", s, "managed", bool, True))
+                for s in _entries("service", topo_doc["services"], ("id", "vm", "managed"))
             ),
         )
         primitives = {}
@@ -315,19 +485,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
             objectives[entry["id"]] = _objective_from_dict(entry)
         regions = [
             Region(r["id"], tuple(r["objectives"]), tuple(r["primitives"]))
-            for r in doc["regions"]
+            for r in _entries("region", doc["regions"], ("id", "objectives", "primitives"))
         ]
     except KeyError as missing:
         raise ConfigError(f"scenario document is missing key {missing}") from missing
+    algorithms = _block("algorithms", doc.get("algorithms", {}), ("moaco", "moga", "search"))
+    moaco = MoacoConfig.from_dict(algorithms.get("moaco", {}))
+    search = _block("search", algorithms.get("search", {}), ("evaluations",))
+    # by default the flat searches get the colony's worst-case construction count
+    evaluations = search.get("evaluations", moaco.max_iteration * moaco.max_ant * moaco.max_run)
+    if not is_integer(evaluations) or evaluations < 1:
+        raise ConfigError(f"search: evaluations must be a positive integer, got {evaluations!r}")
+    trace = _block("trace", doc.get("trace", {}), ("peak", "noise", "profiles"))
     return Scenario(
         name=doc.get("name", "scenario"),
         topology=topology,
         primitives=primitives,
         objectives=objectives,
         regions=regions,
-        model_params=dict(doc.get("model", {})),
-        algorithm_params=dict(doc.get("algorithms", {})),
-        trace_params=dict(doc.get("trace", {})),
+        model=ModelParams.from_dict(doc.get("model", {})),
+        moaco=moaco,
+        moga=MogaConfig.from_dict(algorithms.get("moga", {})),
+        search_evaluations=evaluations,
+        trace_peak=_read("trace", trace, "peak", float, 400.0),
+        trace_noise=_read("trace", trace, "noise", float, 0.04),
+        trace_profiles=_reals("trace.profiles", trace.get("profiles", {})),
     )
 
 
@@ -408,8 +590,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                      (SCOPE_SERVICE, obj.owner, RES_THREAD)}
             for _, owner, resource in sorted(reads - owned):
                 problems.append(f"{where}: the queue model needs a {resource} primitive on {owner!r}")
-        if not math.isfinite(obj.threshold) or obj.threshold <= 0:
-            problems.append(f"{where}.threshold: must be finite and positive, got {obj.threshold}")
+        if obj.threshold <= 0:
+            problems.append(f"{where}.threshold: must be positive, got {obj.threshold}")
+
+    managed = {svc.id for svc in topo.services if svc.managed}
+    for key, value in (("peak", scenario.trace_peak), ("noise", scenario.trace_noise)):
+        if value < 0:
+            problems.append(f"trace.{key}: must be non-negative, got {value}")
+    for sid, scale in scenario.trace_profiles.items():
+        if sid not in managed:
+            problems.append(f"trace.profiles[{sid}]: not a managed service")
+        elif scale < 0:
+            problems.append(f"trace.profiles[{sid}]: must be non-negative, got {scale}")
 
     seen_objs, seen_prims = set(), set()
     for region in scenario.regions:

@@ -8,6 +8,7 @@ seed, so re-running an identical plan reproduces every output byte.
 """
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -16,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, colony, traces
-from .colony import MoacoConfig
 from .dominance import select_compromise
-from .domain import ConfigError, Decision, Scenario, is_integer
+from .domain import ConfigError, Decision, Scenario
 from .metrics import (
     ObjectiveRecord,
     ProvisionRecord,
@@ -31,7 +31,6 @@ from .metrics import (
     violation_pct,
     write_runlog,
 )
-from .qosmodel import ModelParams
 from .simulator import Simulator, detect_trigger
 
 APPROACHES = ("moaco-cd", "moga", "rule", "hill", "random")
@@ -64,15 +63,14 @@ def resolve_trace(plan: ExperimentPlan) -> dict:
     if plan.trace is not None:
         trace = plan.trace
     else:
-        params = dict(plan.scenario.trace_params)
-        managed = [s.id for s in plan.scenario.topology.services if s.managed]
+        scenario = plan.scenario
         trace = traces.synthetic_trace(
-            managed,
+            [s.id for s in scenario.topology.services if s.managed],
             plan.intervals,
             seed=derive_seed(plan.seed, "trace"),
-            peak=float(params.get("peak", 400.0)),
-            noise=float(params.get("noise", 0.04)),
-            profiles=params.get("profiles"),
+            peak=scenario.trace_peak,
+            noise=scenario.trace_noise,
+            profiles=scenario.trace_profiles,
         )
     length = min(len(v) for v in trace.values())
     if length < plan.intervals:
@@ -82,54 +80,29 @@ def resolve_trace(plan: ExperimentPlan) -> dict:
     return {k: list(v[: plan.intervals]) for k, v in trace.items()}
 
 
-def _search_budget(scenario: Scenario) -> int:
-    """Worst-case construction count of the colony, shared by the flat searches."""
-    params = scenario.algorithm_params
-    explicit = params.get("search", {}).get("evaluations")
-    if explicit is not None:
-        if not is_integer(explicit) or explicit < 1:
-            raise ConfigError(
-                f"search: evaluations must be a positive integer, got {explicit!r}")
-        return explicit
-    moaco = MoacoConfig.from_dict(params.get("moaco", {}))
-    return moaco.max_iteration * moaco.max_ant * moaco.max_run
-
-
-def check_settings(scenario: Scenario) -> None:
-    """Raise ConfigError on a bad decider or model setting, whichever approaches run."""
-    params = scenario.algorithm_params
-    MoacoConfig.from_dict(params.get("moaco", {}))
-    baselines.MogaConfig.from_dict(params.get("moga", {}))
-    _search_budget(scenario)
-    ModelParams.from_dict(scenario.model_params)
-
-
 def decide(approach: str, runtime, trigger, observed: dict, scenario: Scenario,
            time_budget_s: float, rng) -> Decision:
     """Run one approach's decision process for a triggered region."""
-    params = scenario.algorithm_params
     if approach == "rule":
         return baselines.rule_decide(runtime, trigger, observed)
     if approach == "moaco-cd":
-        cfg = MoacoConfig.from_dict(params.get("moaco", {}))
-        cfg.time_budget_s = time_budget_s
+        cfg = dataclasses.replace(scenario.moaco, time_budget_s=time_budget_s)
         archive = colony.optimize(
             runtime.model, runtime.env, runtime.current, runtime.grids, cfg, rng
         )
         return select_compromise(archive, runtime.model.direction_signs, rng).decision
     if approach == "moga":
-        cfg = baselines.MogaConfig.from_dict(params.get("moga", {}))
-        cfg.time_budget_s = time_budget_s
+        cfg = dataclasses.replace(scenario.moga, time_budget_s=time_budget_s)
         archive = baselines.moga_optimize(runtime, cfg, rng)
         best = baselines.weighted_best(archive.objectives, runtime.model.direction_signs)
         return archive.entry(best).decision
     if approach == "hill":
         return baselines.hill_climb(
-            runtime, _search_budget(scenario), rng, time_budget_s=time_budget_s
+            runtime, scenario.search_evaluations, rng, time_budget_s=time_budget_s
         )
     if approach == "random":
         return baselines.random_search(
-            runtime, _search_budget(scenario), rng, time_budget_s=time_budget_s
+            runtime, scenario.search_evaluations, rng, time_budget_s=time_budget_s
         )
     raise ConfigError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
 
@@ -205,8 +178,11 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             raise ConfigError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
     if not 0 <= plan.warmup < plan.intervals:
         raise ConfigError("warmup must lie inside the simulated horizon")
-    # a bad setting fails the plan here, not at its first decision
-    check_settings(plan.scenario)
+    if plan.runs < 1:
+        raise ConfigError(f"runs must be at least 1, got {plan.runs}")
+    # a NaN budget would turn every deadline check off
+    if not plan.time_budget_s > 0:
+        raise ConfigError(f"the time budget must be a number > 0, got {plan.time_budget_s}")
     trace = resolve_trace(plan)
     tasks = [
         (plan.scenario, trace, approach, run_idx, plan)

@@ -26,8 +26,7 @@ and ``unattainable`` certifies, from best-case bounds over the grids, the
 requirements that no decision can meet.
 """
 
-import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
@@ -43,51 +42,17 @@ from .domain import (
     RES_THREAD,
     SCOPE_SERVICE,
     SCOPE_VM,
-    ConfigError,
     Decision,
+    ModelParams,
     Region,
     Scenario,
     Topology,
-    is_real,
     root_id,
 )
 
 # relative slack by which a best-case bound must miss a threshold before
 # RegionModel.unattainable flags it, far above any rounding in the model
 UNATTAINABLE_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Coefficients of the synthetic environment, all overridable per scenario."""
-
-    cpu_rate: float = 6.0             # req/min served per effective CPU% share
-    thread_rate: float = 14.0         # req/min served per service thread
-    overload_penalty: float = 10.0    # req/min lost per thread beyond saturation
-    thread_sat_per_mb: float = 0.04   # threads a VM's memory can back, per MB
-    cpu_contention_limit: float = 95.0  # per-PM CPU use before contention bites
-    rt_base_ms: float = 0.5           # service time at an idle queue
-    rel_slope: float = 2.0            # steepness of the reliability response, per ms
-    avail_slope: float = 2.0
-    avail_rt_ref_ms: float = 4.0      # response level counted against availability
-    rel_rt_ref_ms: float = 2.0        # fallback when the owner has no RT target
-    min_capacity: float = 1.0
-    noise_std: float = 0.05
-    cpu_demand_per_req: float = 0.12  # demand proxies, per req/min of workload
-    mem_demand_base: float = 180.0
-    mem_demand_per_req: float = 0.15
-    thread_demand_per_req: float = 0.03
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelParams":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"model: unknown parameters {sorted(unknown)}")
-        for key, value in doc.items():
-            # an exact compare, so an int too large for a float is refused too
-            if not is_real(value) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"model: {key} must be a finite number, got {value!r}")
-        return cls(**{k: float(v) for k, v in doc.items()})
 
 
 # per-service planes of predict_matrix, one per kind measured at a service;
@@ -229,7 +194,7 @@ class RegionModel:
 
     def __init__(self, scenario: Scenario, region: Region, topology: Topology,
                  prim_specs: dict):
-        self.params = ModelParams.from_dict(scenario.model_params)
+        self.params = scenario.model
         self.region = region
         self.topology = topology
         self.objective_ids = list(region.objective_ids)

@@ -28,7 +28,7 @@ from .domain import (
     replica_id,
     root_id,
 )
-from .qosmodel import ModelParams, RegionModel, demand, utilization
+from .qosmodel import RegionModel, demand, utilization
 
 TRIGGER_SLA = "sla-violation"
 TRIGGER_LOW_UTIL = "low-utilization"
@@ -129,7 +129,7 @@ class Simulator:
         self.topology = scenario.topology
         self.prim_specs = dict(scenario.primitives)
         self.config = scenario.initial_configuration()
-        self.params = ModelParams.from_dict(scenario.model_params)
+        self.params = scenario.model
         self.rng = np.random.default_rng(seed)
         self.interval = -1
         self._pending = []          # horizontal ops queued for the next step

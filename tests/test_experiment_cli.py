@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from antscale import cli
-from antscale.domain import ConfigError, Decision
+from antscale.domain import (
+    ConfigError, Decision, ModelParams, MoacoConfig, MogaConfig, load_scenario,
+)
 from antscale.experiment import (
     APPROACHES,
     ExperimentPlan,
@@ -390,32 +392,77 @@ def exit_code(argv) -> int:
         return stop.code
 
 
-def smoke_objective(oid, key, value) -> dict:
-    """The smoke document with ``key`` set on its objective ``oid``."""
+def smoke_entry(block, eid, key, value) -> dict:
+    """The smoke document with ``key`` set on the entry ``eid`` of a list block."""
     doc = smoke_doc()
-    next(o for o in doc["objectives"] if o["id"] == oid)[key] = value
+    entries = doc["topology"]["services"] if block == "services" else doc[block]
+    next(e for e in entries if e["id"] == eid)[key] = value
     return doc
 
 
-def smoke_with(block, key, value) -> dict:
+def smoke_with(*path) -> dict:
+    """The smoke document with the value at the end of ``path`` set under its keys."""
+    *keys, last, value = path
     doc = smoke_doc()
-    doc[block][key] = value
+    block = doc
+    for key in keys:
+        block = block[key]
+    block[last] = value
+    return doc
+
+
+def smoke_unmanaged_s2_profile() -> dict:
+    doc = smoke_with("trace", "profiles", {"s2": 1.0})
+    doc["topology"]["services"][1]["managed"] = False
     return doc
 
 
 @pytest.mark.parametrize("make_doc, named", [
-    (functools.partial(smoke_objective, "s1.rt", "kind", "custom"), "s1.rt"),
-    (functools.partial(smoke_objective, "s1.cost", "model", "interference-queue"), "s1.cost"),
-    (functools.partial(smoke_objective, "s1.tp", "model", "price-sum"), "s1.tp"),
-    (functools.partial(smoke_objective, "s1.tp", "direction", "minimize"), "s1.tp"),
-    (functools.partial(smoke_objective, "s1.cost", "direction", "maximize"), "s1.cost"),
+    (functools.partial(smoke_entry, "objectives", "s1.rt", "kind", "custom"), "s1.rt"),
+    (functools.partial(smoke_entry, "objectives", "s1.cost", "model", "interference-queue"),
+     "s1.cost"),
+    (functools.partial(smoke_entry, "objectives", "s1.tp", "model", "price-sum"), "s1.tp"),
+    (functools.partial(smoke_entry, "objectives", "s1.tp", "direction", "minimize"), "s1.tp"),
+    (functools.partial(smoke_entry, "objectives", "s1.cost", "direction", "maximize"), "s1.cost"),
     (smoke_without_vm_memory_doc, "objectives[s1.rt]"),
     (lambda: smoke_with("algorithms", "moaco", {"rho": 1.5}), "rho"),
     (lambda: smoke_with("model", "cpu_rate", "nan"), "cpu_rate"),
     (triple_split_doc, "'s1.rt' reads primitive 'v2.cpu'"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "price", "nan"),
+     "primitive v1.cpu: price must be a finite number"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "price", float("nan")),
+     "primitive v1.cpu: price must be a finite number"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "step", 2.9),
+     "primitive v1.cpu: step must be an integer"),
+    (functools.partial(smoke_entry, "objectives", "s1.rt", "threshold", True),
+     "objective s1.rt: threshold must be a finite number"),
+    (functools.partial(smoke_entry, "services", "s2", "managed", "false"),
+     "service s2: managed must be true or false"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "util_triger", 0.4),
+     "primitive v1.cpu: unknown keys ['util_triger']"),
+    (lambda: smoke_with("trace", "noise", float("nan")), "trace: noise must be a finite number"),
+    (lambda: smoke_with("trace", "peak", "abc"), "trace: peak must be a finite number"),
+    (lambda: smoke_with("trace", "peak", -1.0), "trace.peak: must be non-negative"),
+    (lambda: smoke_with("trace", "spike", 2.0), "trace: unknown keys ['spike']"),
+    (lambda: smoke_with("trace", "profiles", [1.0]), "trace.profiles: must be an object"),
+    (lambda: smoke_with("trace", "profiles", {"s1": "1.0"}),
+     "trace.profiles: s1 must be a finite number"),
+    (lambda: smoke_with("trace", "profiles", {"s1": -0.5}),
+     "trace.profiles[s1]: must be non-negative"),
+    (lambda: smoke_with("trace", "profiles", {"s9": 1.0}),
+     "trace.profiles[s9]: not a managed service"),
+    (smoke_unmanaged_s2_profile, "trace.profiles[s2]: not a managed service"),
+    (lambda: smoke_with("algorithms", "annealing", {}), "algorithms: unknown keys ['annealing']"),
+    (lambda: smoke_with("algorithms", "search", "budget", 100), "search: unknown keys ['budget']"),
+    (lambda: smoke_with("comment", "two services"), "scenario: unknown keys ['comment']"),
 ], ids=[
     "custom-kind", "cost-model", "throughput-price-sum", "minimized-throughput",
     "maximized-cost", "no-vm-memory", "moaco-rho", "nan-model-coefficient", "triple-split",
+    "nan-string-price", "nan-price", "fractional-step", "true-threshold", "string-managed",
+    "primitive-key-typo", "nan-trace-noise", "string-trace-peak", "negative-trace-peak",
+    "unknown-trace-key", "trace-profiles-list", "string-trace-profile", "negative-trace-profile",
+    "unknown-service-profile", "unmanaged-service-profile", "unknown-algorithm",
+    "unknown-search-key", "unknown-top-level-key",
 ])
 def test_validate_and_run_both_refuse_a_bad_scenario(tmp_path, capsys, make_doc, named):
     path = tmp_path / "bad.json"
@@ -446,3 +493,38 @@ def test_run_refuses_a_nan_trace_load(tmp_path, capsys):
     ]) == 2
     assert f"error: trace {trace}:7: load nan is negative or not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--runs", "0", "runs must be at least 1, got 0"),
+    ("--time-budget", "nan", "the time budget must be a number > 0, got nan"),
+    ("--time-budget", "-1", "the time budget must be a number > 0, got -1.0"),
+    ("--time-budget", "0", "the time budget must be a number > 0, got 0.0"),
+], ids=["no-runs", "nan-budget", "negative-budget", "zero-budget"])
+def test_run_refuses_a_bad_plan_value(tmp_path, capsys, flag, value, named):
+    argv = [
+        "run", "--scenario", str(SMOKE_PATH), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ]
+    assert cli.main(argv + [flag, value]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_settings_are_read_once_when_the_scenario_loads(tmp_path, monkeypatch):
+    scenario = load_scenario(SMOKE_PATH)
+    reads = []
+    for cls in (MoacoConfig, MogaConfig, ModelParams):
+        def counted(doc, cls=cls, read=cls.from_dict):
+            reads.append(cls.__name__)
+            return read(doc)
+        monkeypatch.setattr(cls, "from_dict", staticmethod(counted))
+    result = run_experiment(ExperimentPlan(
+        name="once", scenario=scenario, approaches=APPROACHES, intervals=6, warmup=1,
+        runs=1, out_dir=str(tmp_path), quiet=True,
+    ))
+    assert all(log.latency_records for logs in result["logs"].values() for log in logs)
+    assert reads == []
+    load_scenario(SMOKE_PATH)
+    assert sorted(reads) == ["MoacoConfig", "ModelParams", "MogaConfig"]

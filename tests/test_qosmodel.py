@@ -1,5 +1,6 @@
 """Interference-aware QoS predictions: frozen values, clamps, monotonicity."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -14,7 +15,6 @@ from antscale.domain import (
     SCOPE_SERVICE,
     ConfigError,
     Decision,
-    Scenario,
     is_replica,
     root_id,
     scenario_from_dict,
@@ -596,7 +596,9 @@ def test_footprints_follow_the_topology(triple_scenario):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_primitives_for_service_holds_every_primitive_the_model_reads(case):
     model, _, _, _, specs = oracle_case(case)
-    live = Scenario("live", model.topology, specs, {}, [])
+    # primitives_for_service reads only the topology and the primitives
+    live = dataclasses.replace(scenario_from_dict(smoke_doc()), topology=model.topology,
+                               primitives=specs)
     read_ids = np.append(model.all_pids, "")    # the trailing zero column
     for members in model._member_idx:
         reads = set(read_ids[model._unit_cols[:, members].ravel()]) - {""}

@@ -38,15 +38,15 @@ def test_tracer_wraps_a_smoke_plan_and_restores_the_package(tmp_path):
         assert baselines.nondominated_ranks is not original_ranks
         run_experiment(plan)
     metrics = tracer.metrics()
-    moga = plan.scenario.algorithm_params["moga"]
+    moga = plan.scenario.moga
     assert tracer.moga and tracer.moaco
     assert all(record["front"] for record in tracer.moga)
     # one fresh ranking of the first population and one per generation
     assert metrics["baselines.nondominated_ranks.calls"]["value"] == (
-        len(tracer.moga) * (1 + moga["generations"])
+        len(tracer.moga) * (1 + moga.generations)
     )
     assert tracer.counts["baselines.crowding_distances"] == (
-        len(tracer.moga) * 2 * moga["generations"]
+        len(tracer.moga) * 2 * moga.generations
     )
     assert metrics["colony.optimize.calls"]["value"] == len(tracer.moaco)
     after = [dict(vars(owner)) for owner in PATCHED]
