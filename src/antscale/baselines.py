@@ -113,8 +113,7 @@ def random_indices(sizes, n: int, rng) -> np.ndarray:
     return np.column_stack([rng.integers(size, size=n) for size in sizes])
 
 
-def random_search(runtime, budget: int, rng,
-                  time_budget_s: float | None = None) -> Decision:
+def random_search(runtime, budget: int, rng, time_budget_s: float = np.inf) -> Decision:
     """Uniform sampling over the grids; best normalized-sum row wins.
 
     Normalization bounds come from everything sampled, so scores are settled
@@ -124,7 +123,7 @@ def random_search(runtime, budget: int, rng,
     values, valid = grid_table(runtime.grids)
     sizes, prims = valid.sum(axis=1), np.arange(valid.shape[0])
     span = RunningSpan(model.direction_signs)
-    deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
+    deadline = time.perf_counter() + time_budget_s
     all_idx, all_vecs = [], []
     remaining = max(int(budget), 1)
     while remaining > 0:
@@ -135,14 +134,13 @@ def random_search(runtime, budget: int, rng,
         all_idx.append(idx)
         all_vecs.append(vecs)
         remaining -= chunk
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             break
     best = int(np.argmin(span.score(np.vstack(all_vecs))))
     return _row_decision(runtime, values[prims, np.vstack(all_idx)[best]])
 
 
-def hill_climb(runtime, budget: int, rng,
-               time_budget_s: float | None = None) -> Decision:
+def hill_climb(runtime, budget: int, rng, time_budget_s: float = np.inf) -> Decision:
     """First-improvement climbing over one-notch moves, with random restarts.
 
     Every climb starts from a uniform-random decision. A climb ends at a
@@ -157,7 +155,7 @@ def hill_climb(runtime, budget: int, rng,
     moves = np.repeat(np.eye(prims.size, dtype=int), 2, axis=0)
     moves[::2] *= -1
     span = RunningSpan(model.direction_signs)
-    deadline = None if time_budget_s is None else time.perf_counter() + time_budget_s
+    deadline = time.perf_counter() + time_budget_s
     budget = max(int(budget), 1)
     evals = 0
 
@@ -169,9 +167,7 @@ def hill_climb(runtime, budget: int, rng,
         return vecs
 
     def expired() -> bool:
-        return (evals >= budget) or (
-            deadline is not None and time.perf_counter() > deadline
-        )
+        return evals >= budget or time.perf_counter() > deadline
 
     current = random_indices(sizes, 1, rng)[0]
     cur_vec = evaluate(current[None, :])[0]
@@ -326,17 +322,14 @@ def moga_optimize(runtime, cfg: MogaConfig, rng) -> DecisionArchive:
     prims = np.arange(n_prims)
     pop_n = cfg.population
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n_prims
-    deadline = (
-        None if cfg.time_budget_s is None
-        else time.perf_counter() + cfg.time_budget_s
-    )
+    deadline = time.perf_counter() + cfg.time_budget_s
 
     genomes = random_indices(sizes, pop_n, rng)
     vectors = model.predict_matrix(values[prims, genomes], runtime.env)
     ranks, _ = nondominated_ranks(vectors, signs)
 
     for _ in range(cfg.generations):
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             break
         crowding = crowding_distances(vectors, ranks)
         i, j = rng.integers(pop_n, size=(pop_n, 2)).T

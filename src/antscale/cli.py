@@ -35,7 +35,7 @@ def cmd_run(args) -> int:
     trace = traces.load_trace_csv(args.trace) if args.trace else None
     approaches = tuple(a.strip() for a in args.approaches.split(",") if a.strip())
     plan = ExperimentPlan(
-        name=args.name or scenario.name,
+        name=scenario.name if args.name is None else args.name,
         scenario=scenario,
         trace=trace,
         approaches=approaches,

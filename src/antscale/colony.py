@@ -23,19 +23,19 @@ keeps only the uniforms of the round it would keep; once per iteration the
 kept rows are drawn again and evaluated in full. A row's bits do not depend
 on its batch, so they are those its own round gave.
 
-A block is scored in one of two ways. When some ant may close, every cell
-is drawn and the block of about ``BLOCK_ROWS`` rows is evaluated in full,
-one model call per block. A round in which some ant closes ends the block,
-and the random draws of the rounds after it are given back, so the colony
-makes the same draws, and the same decisions, as it would round by round.
-When the model certifies some requirement unattainable on the grids
-(``RegionModel.unattainable``), no ant can close, and an ant's retries only
-decide which round it keeps: the first holding its best own-objective value.
-Each ant's footprint (the primitives its objective reads) is then drawn
-alone, and its objective alone evaluated, in blocks of about
-``FOOTPRINT_BLOCK_ROWS`` rows that nothing cuts short. The generator makes
-the same draws either way, so both build the same archive; which one runs
-follows from each decision's model, grids and workloads.
+A block is scored in one of two ways. When some ant may close,
+:func:`score_rounds` draws every cell of about ``BLOCK_ROWS`` rows and
+evaluates them in full; the first round in which some ant closes ends the
+block, and the draws of the rounds after it are given back, so the colony
+draws and decides as it would round by round. When
+``RegionModel.unattainable`` certifies some requirement unattainable on the
+grids, no ant can close, and its retries only pick the round it keeps, the
+first holding its best own-objective value. :func:`score_footprints` then
+draws each ant's footprint (the primitives its objective reads) alone and
+evaluates its objective alone, in blocks of about ``FOOTPRINT_BLOCK_ROWS``
+rows that nothing cuts short. Both make the same draws and build the same
+archive; which one runs follows from each decision's model, grids and
+workloads.
 """
 
 import time
@@ -249,16 +249,57 @@ def _settle(h: np.ndarray, kept: np.ndarray, kept_h: np.ndarray, ok: np.ndarray)
     and ``ok`` whether it closes in the block's last round. In order, a round
     replaces the kept row when the ant closes in it, holds nothing yet, or
     beats ``kept_h`` strictly; NaN beats nothing and nothing beats NaN.
-    Returns ``(pick, take)``: the round each ant would end up keeping, and
-    whether that round replaces its kept row.
+    Returns ``(slot, pick)``: the ants whose kept row the block replaces,
+    and the round each of them keeps.
     """
     best = np.fmax.reduce(h, axis=0)      # the largest non-NaN h, NaN if none
     pick = (h == best).argmax(axis=0)     # its earliest round, else round 0
-    take = ok | ~kept | (best > kept_h)
     # a first round of NaN, once kept, is never replaced
     pick[~kept & np.isnan(h[0])] = 0
     pick[ok] = h.shape[0] - 1
-    return pick, take
+    slot = np.flatnonzero(ok | ~kept | (best > kept_h))
+    return slot, pick[slot]
+
+
+def score_rounds(model, env, values, sampler: GuideSampler, u, objs) -> tuple:
+    """``(used, h, ok)`` of full rounds ``u``, scored in one ``predict_matrix`` call:
+    the rounds up to the first in which an ant closes (all if none does), the
+    open ants' signed values for their objectives ``objs`` in them, and
+    whether each closes in the last.
+    """
+    vecs = model.predict_matrix(values[np.arange(values.shape[0]), sampler.draw(u, objs)], env)
+    viols = model.violation_counts(vecs)
+    closing = (viols == 0).any(axis=1)
+    used = int(closing.argmax()) + 1 if closing.any() else u.shape[0]
+    h = vecs[:used, np.arange(objs.size), objs] * model.direction_signs[objs]
+    return used, h, viols[used - 1] == 0
+
+
+def footprint_layout(model, values, ant_obj, rounds: int) -> tuple:
+    """Per footprint cell of ants serving ``ant_obj``: ``(cells, objs, prims, slots, rows)``.
+
+    A cell's place in a round's ``(n_ant, n_prims)``, its ant's objective,
+    its primitive and that primitive's first slot in ``values.ravel()``; and
+    ``rounds`` zeroed rounds of rows, where a primitive outside an ant's
+    footprint stays 0.0, which its objective reads at most times a zero price.
+    """
+    n_prims = values.shape[0]
+    ants, prims = np.nonzero(model.footprints[ant_obj])
+    return (ants * n_prims + prims, ant_obj[ants], prims, prims * values.shape[1],
+            np.zeros((rounds, ant_obj.size, n_prims)))
+
+
+def score_footprints(model, env, values, sampler: GuideSampler, u, objs, layout) -> np.ndarray:
+    """The ants' signed values for their own objectives ``objs`` in each round of ``u``.
+
+    Only the footprints of ``layout`` are drawn, and one ``model.own_objective`` call scores them.
+    """
+    cells, cell_objs, prims, slots, rows = layout
+    n_rounds = u.shape[0]
+    block = rows[:n_rounds]
+    drawn = sampler.draw_at(u.reshape(n_rounds, -1)[:, cells], cell_objs, prims)
+    block.reshape(n_rounds, -1)[:, cells] = values.ravel()[slots + drawn]
+    return model.own_objective(block, env, objs) * model.direction_signs[objs]
 
 
 @dataclass
@@ -287,27 +328,22 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     """Run the full colony and return every identified decision.
 
     Ants are assigned objectives round-robin within each iteration, so with
-    ``max_ant >= m`` every objective is optimized every iteration. Retries
-    run in rounds over the still-unsatisfied ants, and the rounds in blocks:
-    with ``n`` ants open, one model call scores the next
-    ``max(1, rows // n)`` rounds, at most the retries left. ``rows`` is
-    ``BLOCK_ROWS`` when ants may close. Such a block takes at most twice the
-    rounds the previous block settled, in this iteration or the one before,
-    and the rounds up to and including the first in which an ant closes are
-    settled (:func:`_settle`); the generator is then rewound and re-drawn
-    for exactly the rounds settled. When ``model.unattainable`` flags a
-    requirement, ``rows`` is ``FOOTPRINT_BLOCK_ROWS``, no ant closes, and a
-    block is ``model.own_objective`` over the ants' footprints (see the
-    module docstring). Either way each iteration ends with one model call
-    for the kept rows, and the draws, the archive and the final generator
-    state are those of a round-by-round construction. An objective's trails
-    are updated from the kept ants whose value for it is not NaN; without
-    any, they only keep their bounds. The wall-clock budget is checked
-    between blocks; on expiry the iteration's kept rows are evaluated and
-    the archive accumulated so far is returned (never empty, since the
-    first block of the first iteration always completes).
+    ``max_ant >= m`` every objective is optimized every iteration. While
+    ``n`` ants are open, a block takes ``max(1, rows // n)`` of their
+    rounds, at most the retries left: :func:`score_rounds` scores
+    ``BLOCK_ROWS`` rows and at most twice the rounds the previous block
+    settled, or, when ``model.unattainable`` flags a requirement,
+    :func:`score_footprints` scores ``FOOTPRINT_BLOCK_ROWS`` rows. The
+    draws, the archive and the final generator state are those of a
+    round-by-round construction. An objective's trails are updated from the
+    kept ants whose value for it is not NaN; without any, they only keep
+    their bounds. The wall-clock budget is checked between blocks; on
+    expiry the iteration's kept rows are evaluated and the archive so far is
+    returned (never empty: the first block always completes). ``stats``, if
+    given, must be a fresh :class:`OptimizeStats`; the call fills it in place.
     """
     start = time.perf_counter()
+    stats = OptimizeStats() if stats is None else stats
     m = len(model.objective_ids)
     signs = model.direction_signs
     values, valid = grid_table(grids)
@@ -316,43 +352,29 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
     current_row = np.asarray(current_row, dtype=float)
     n_ant = cfg.max_ant
     ant_obj = np.arange(n_ant) % m
-    deadline = None if cfg.time_budget_s is None else start + cfg.time_budget_s
+    deadline = start + cfg.time_budget_s
 
-    heuristic = compute_heuristics(model, env, current_row, values, valid)
-    t_heur = time.perf_counter() - start
+    stats.heuristic = heuristic = compute_heuristics(model, env, current_row, values, valid)
+    stats.heuristic_seconds = time.perf_counter() - start
     unattainable = model.unattainable(env, grids)
-    footprint_only = bool(unattainable.any())
+    stats.unattainable = [oid for oid, u in zip(model.objective_ids, unattainable) if u]
+    stats.footprint_only = footprint_only = bool(unattainable.any())
     block_rows = FOOTPRINT_BLOCK_ROWS if footprint_only else BLOCK_ROWS
     if footprint_only:
-        fp_ants, fp_prims = np.nonzero(model.footprints[ant_obj])
-        fp_objs = ant_obj[fp_ants]
-        fp_cells = fp_ants * n_prims + fp_prims         # in one round's (n_ant, n_prims)
-        fp_slots = fp_prims * values.shape[1]           # in values.ravel()
-        grid_values = values.ravel()
-        # a primitive outside an ant's footprint stays 0.0, which its
-        # objective reads at most times a zero price
-        footprint_rows = np.zeros((min(cfg.max_run, max(1, block_rows // n_ant)), n_ant, n_prims))
+        layout = footprint_layout(model, values, ant_obj, min(cfg.max_run, max(1, block_rows // n_ant)))
     # compute_heuristics' two calls: one row per grid value, then the live row
-    model_calls = 2
-    rows_evaluated = int(valid.sum()) + 1
+    stats.model_calls = 2
+    stats.rows_evaluated = int(valid.sum()) + 1
+    stats.valid = valid
 
-    trails = np.ones((m,) + valid.shape)
-    tau_max = np.ones(m)
-    tau_min = np.full(m, cfg.floor_ratio)
+    stats.trails = trails = np.ones((m,) + valid.shape)
+    stats.tau_max = tau_max = np.ones(m)
+    stats.tau_min = tau_min = np.full(m, cfg.floor_ratio)
     found = []    # per iteration: settled ants' (indices, objectives, violations)
-    global_h = np.full(m, np.nan)
-    have_global = np.zeros(m, dtype=bool)
-
-    t_construct = 0.0
-    t_update = 0.0
+    global_h = np.full(m, np.nan)     # NaN until an objective has a leader
     reach = cfg.max_run
-    iterations = 0
-    constructions = 0
-    out_of_time = False
 
     for _ in range(cfg.max_iteration):
-        if out_of_time:
-            break
         t0 = time.perf_counter()
         sampler = GuideSampler(selection_cdfs(trails, heuristic, valid, cfg))
 
@@ -372,51 +394,38 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
             rewind = rng.bit_generator.state if n_rounds > 1 else None
             u = rng.random((n_rounds, n_open, n_prims))
             if footprint_only:
-                # no ant can close, so every ant stays open: draw its
-                # footprint alone and evaluate its objective alone
-                block = footprint_rows[:n_rounds]
-                drawn = sampler.draw_at(u.reshape(n_rounds, -1)[:, fp_cells], fp_objs, fp_prims)
-                block.reshape(n_rounds, -1)[:, fp_cells] = grid_values[fp_slots + drawn]
-                h = model.own_objective(block, env, objs) * signs[objs]
-                used = n_rounds
-                ok = np.zeros(n_open, dtype=bool)
+                # no ant can close, so every ant stays open
+                h = score_footprints(model, env, values, sampler, u, objs, layout)
+                used, ok = n_rounds, np.zeros(n_open, dtype=bool)
             else:
-                block_vecs = model.predict_matrix(values[prims, sampler.draw(u, objs)], env)
-                block_viols = model.violation_counts(block_vecs)
-                closing = (block_viols == 0).any(axis=1)
-                used = int(closing.argmax()) + 1 if closing.any() else n_rounds
-                ok = block_viols[used - 1] == 0
-                h = block_vecs[:used, np.arange(n_open), objs] * signs[objs]
+                used, h, ok = score_rounds(model, env, values, sampler, u, objs)
                 # closings come in runs, so a block that closed early shortens
                 # the next, and one that did not lets the next grow
                 reach = 2 * used
-            pick, take = _settle(h, kept[open_ants], kept_h[open_ants], ok)
-            slot = np.flatnonzero(take)
-            pick = pick[slot]
+            slot, pick = _settle(h, kept[open_ants], kept_h[open_ants], ok)
             improved = open_ants[slot]
             kept_u[improved] = u[pick, slot]
             kept_h[improved] = h[pick, slot]
             kept[improved] = True
             done[open_ants[ok]] = True
-            model_calls += 1
-            rows_evaluated += n_rounds * n_open
-            constructions += used * n_open
+            stats.model_calls += 1
+            stats.rows_evaluated += n_rounds * n_open
+            stats.constructions += used * n_open
             rounds_left -= used
             if used < n_rounds:
                 # give back the draws of the rounds after the closing one
                 rng.bit_generator.state = rewind
                 rng.random((used, n_open, n_prims))
-            if deadline is not None and time.perf_counter() > deadline:
-                out_of_time = True
+            if time.perf_counter() > deadline:
                 break
         # the kept rows in full: a row's bits do not depend on its batch, so
         # these are the values its round's full evaluation gave or would give
         kept_idx = sampler.draw(kept_u, ant_obj)
         kept_vecs = np.ascontiguousarray(model.predict_matrix(values[prims, kept_idx], env))
         kept_viol = model.violation_counts(kept_vecs)
-        model_calls += 1
-        rows_evaluated += n_ant
-        t_construct += time.perf_counter() - t0
+        stats.model_calls += 1
+        stats.rows_evaluated += n_ant
+        stats.construction_seconds += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         found.append((kept_idx[kept], kept_vecs[kept], kept_viol[kept]))
@@ -429,35 +438,18 @@ def optimize(model, env, current_row, grids, cfg: MoacoConfig, rng,
                 continue
             leader = members[int(np.argmax(signed_h[members]))]
             h_iter = float(kept_vecs[leader, o])
-            if not have_global[o] or signs[o] * (h_iter - global_h[o]) > 0:
+            if np.isnan(global_h[o]) or signs[o] * (h_iter - global_h[o]) > 0:
                 global_h[o] = h_iter
-                have_global[o] = True
             maximize = signs[o] > 0
             tau_min[o], tau_max[o] = trail_bounds(h_iter, maximize, cfg.rho, cfg.floor_ratio)
             deposit(trails, o, kept_idx[leader], h_iter, float(global_h[o]), maximize, cfg.rho)
         clamp(trails, tau_min, tau_max)
-        t_update += time.perf_counter() - t0
-        iterations += 1
-        if stats is not None:
-            stats.global_history.append(global_h.copy())
-        if deadline is not None and time.perf_counter() > deadline:
+        stats.update_seconds += time.perf_counter() - t0
+        stats.iterations += 1
+        stats.global_history.append(global_h.copy())
+        # the clock only moves on, so an expiry inside the loop ends it here too
+        if time.perf_counter() > deadline:
             break
 
     indices, vectors, violations = (np.concatenate(part) for part in zip(*found))
-    archive = DecisionArchive(model.region_pids, values[prims, indices], vectors, violations)
-    if stats is not None:
-        stats.unattainable = [oid for oid, u in zip(model.objective_ids, unattainable) if u]
-        stats.footprint_only = footprint_only
-        stats.heuristic_seconds = t_heur
-        stats.construction_seconds = t_construct
-        stats.update_seconds = t_update
-        stats.iterations = iterations
-        stats.constructions = constructions
-        stats.model_calls = model_calls
-        stats.rows_evaluated = rows_evaluated
-        stats.trails = trails
-        stats.tau_min = tau_min
-        stats.tau_max = tau_max
-        stats.heuristic = heuristic
-        stats.valid = valid
-    return archive
+    return DecisionArchive(model.region_pids, values[prims, indices], vectors, violations)

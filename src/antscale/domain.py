@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -71,17 +72,20 @@ _REQUIRED = object()
 def _read(where: str, doc: dict, key: str, kind, default=_REQUIRED):
     """``doc[key]``, or ``default`` when it is absent, under the document's type rule.
 
-    Every number in a scenario document follows one rule: an integer is
-    integral (``is_integer``), a real is a finite ``is_real`` and a flag is
-    a bool. Anything else, a string, a bool where a number is due or a
-    fraction where an integer is due, raises a ConfigError naming ``where``
-    and ``key``. A missing key without a default raises KeyError.
+    Every value in a scenario document follows one rule: an integer is
+    integral (``is_integer``), a real is a finite ``is_real``, a flag is a
+    bool and a name is a string. Anything else, a string, a bool where a
+    number is due or a fraction where an integer is due, raises a
+    ConfigError naming ``where`` and ``key``. A missing key without a
+    default raises KeyError.
     """
     value = doc.get(key, default)
     if value is _REQUIRED:
         raise KeyError(key)
     if kind is bool:
         ok, due = isinstance(value, bool), "true or false"
+    elif kind is str:
+        ok, due = isinstance(value, str), "a string"
     elif kind is int:
         ok, due = is_integer(value), "an integer"
     else:
@@ -105,6 +109,43 @@ def _block(where: str, doc, known=None) -> dict:
 def _reals(where: str, doc) -> dict:
     """An object of finite numbers under any keys, read as floats."""
     return {key: _read(where, doc, key, float) for key in _block(where, doc)}
+
+
+def _names(where: str, doc: dict, key: str) -> tuple:
+    """``doc[key]``, a list of strings, as a tuple."""
+    names = doc[key]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigError(f"{where}: {key} must be a list of strings, got {names!r}")
+    return tuple(names)
+
+
+def _entries(path: str, label: str, docs, keys) -> list:
+    """``(where, entry)`` for each entry of the list ``docs`` found at ``path``.
+
+    Every entry must be an object with keys from ``keys`` and a string
+    ``id`` that no other entry of the list has; ``where`` names it as
+    ``"<label> <id>"``.
+    """
+    if not isinstance(docs, list):
+        raise ConfigError(f"{path}: must be a list, got {docs!r}")
+    found = {}
+    for i, entry in enumerate(docs):
+        eid = _read(f"{path}[{i}]", _block(f"{path}[{i}]", entry), "id", str)
+        if eid in found:
+            raise ConfigError(f"{path}[{i}]: duplicate id {eid!r}")
+        found[eid] = _block(f"{label} {eid}", entry, keys)
+    return [(f"{label} {eid}", entry) for eid, entry in found.items()]
+
+
+def path_component(what: str, name) -> str:
+    """``name`` if it is a string that names one directory, else a ConfigError.
+
+    The name may not be empty, ``.`` or ``..``, or hold a path separator or NUL.
+    """
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(mark and mark in name for mark in (os.sep, os.altsep, "\0"))):
+        raise ConfigError(f"{what} must be a single path component, got {name!r}")
+    return name
 
 
 def replica_id(base: str, n: int) -> str:
@@ -308,7 +349,7 @@ class MoacoConfig:
     max_iteration: int = 5
     max_ant: int = 150
     max_run: int = 100            # construction retries per ant
-    time_budget_s: float | None = None
+    time_budget_s: float = math.inf
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MoacoConfig":
@@ -335,7 +376,7 @@ class MogaConfig:
     generations: int = 50
     crossover_rate: float = 0.9
     mutation_rate: float | None = None   # default 1 / number of primitives
-    time_budget_s: float | None = None
+    time_budget_s: float = math.inf
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MogaConfig":
@@ -411,17 +452,15 @@ _PRIMITIVE_KEYS = (
 )
 
 
-def _primitive_from_dict(entry: dict) -> ControlPrimitiveSpec:
-    where = f"primitive {entry.get('id')}"
-    _block(where, entry, _PRIMITIVE_KEYS)
+def _primitive_from_dict(where: str, entry: dict) -> ControlPrimitiveSpec:
     lower = _read(where, entry, "min", int)
     upper = _read(where, entry, "max", int)
     return ControlPrimitiveSpec(
         id=entry["id"],
-        scope=entry["scope"],
-        owner=entry["owner"],
-        resource=entry["resource"],
-        unit=entry.get("unit", ""),
+        scope=_read(where, entry, "scope", str),
+        owner=_read(where, entry, "owner", str),
+        resource=_read(where, entry, "resource", str),
+        unit=_read(where, entry, "unit", str, ""),
         initial=_read(where, entry, "initial", int),
         step=_read(where, entry, "step", int),
         base_lower=lower,
@@ -436,26 +475,22 @@ def _primitive_from_dict(entry: dict) -> ControlPrimitiveSpec:
     )
 
 
-def _objective_from_dict(entry: dict) -> ObjectiveSpec:
+def _objective_from_dict(where: str, entry: dict) -> ObjectiveSpec:
     # the kind fixes direction, model and noise, so no key may set them
-    where = f"objective {entry.get('id')}"
-    _block(where, entry, ("id", "kind", "owner", "threshold"))
-    if entry["kind"] not in KIND_DIRECTIONS:
-        raise ConfigError(f"{where}: unknown kind {entry['kind']!r}")
-    return ObjectiveSpec(entry["id"], entry["kind"], entry["owner"],
+    kind = _read(where, entry, "kind", str)
+    if kind not in KIND_DIRECTIONS:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    return ObjectiveSpec(entry["id"], kind, _read(where, entry, "owner", str),
                          _read(where, entry, "threshold", float))
-
-
-def _entries(label: str, docs, keys) -> list:
-    return [_block(f"{label} {entry.get('id')}", entry, keys) for entry in docs]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, reading every setting once.
 
-    A missing or unknown key, or a value that breaks the type rule of
-    :func:`_read`, raises ConfigError; ranges and references are left to
-    :func:`validate_scenario`.
+    A missing or unknown key, a value that breaks the type rule of
+    :func:`_read`, a list entry that is not an object with a unique string
+    ``id``, or a ``name`` that is not a single path component raises
+    ConfigError; ranges and references are left to :func:`validate_scenario`.
     """
     _block("scenario", doc, (
         "name", "topology", "primitives", "objectives", "regions", "model", "algorithms", "trace",
@@ -464,28 +499,34 @@ def scenario_from_dict(doc: dict) -> Scenario:
         topo_doc = _block("topology", doc["topology"], ("pms", "vms", "services"))
         topology = Topology(
             pms=tuple(
-                PhysicalMachine(p["id"], _reals(f"pm {p['id']} capacity", p.get("capacity", {})))
-                for p in _entries("pm", topo_doc["pms"], ("id", "capacity"))
+                PhysicalMachine(p["id"], _reals(f"{where} capacity", p.get("capacity", {})))
+                for where, p in _entries("topology.pms", "pm", topo_doc["pms"], ("id", "capacity"))
             ),
             vms=tuple(
-                VirtualMachine(v["id"], v["pm"])
-                for v in _entries("vm", topo_doc["vms"], ("id", "pm"))
+                VirtualMachine(v["id"], _read(where, v, "pm", str))
+                for where, v in _entries("topology.vms", "vm", topo_doc["vms"], ("id", "pm"))
             ),
             services=tuple(
-                ServiceInstance(s["id"], s["vm"],
-                                _read(f"service {s['id']}", s, "managed", bool, True))
-                for s in _entries("service", topo_doc["services"], ("id", "vm", "managed"))
+                ServiceInstance(s["id"], _read(where, s, "vm", str),
+                                _read(where, s, "managed", bool, True))
+                for where, s in _entries("topology.services", "service", topo_doc["services"],
+                                         ("id", "vm", "managed"))
             ),
         )
-        primitives = {}
-        for entry in doc["primitives"]:
-            primitives[entry["id"]] = _primitive_from_dict(entry)
-        objectives = {}
-        for entry in doc["objectives"]:
-            objectives[entry["id"]] = _objective_from_dict(entry)
+        primitives = {
+            entry["id"]: _primitive_from_dict(where, entry)
+            for where, entry in _entries("primitives", "primitive", doc["primitives"],
+                                         _PRIMITIVE_KEYS)
+        }
+        objectives = {
+            entry["id"]: _objective_from_dict(where, entry)
+            for where, entry in _entries("objectives", "objective", doc["objectives"],
+                                         ("id", "kind", "owner", "threshold"))
+        }
         regions = [
-            Region(r["id"], tuple(r["objectives"]), tuple(r["primitives"]))
-            for r in _entries("region", doc["regions"], ("id", "objectives", "primitives"))
+            Region(r["id"], _names(where, r, "objectives"), _names(where, r, "primitives"))
+            for where, r in _entries("regions", "region", doc["regions"],
+                                     ("id", "objectives", "primitives"))
         ]
     except KeyError as missing:
         raise ConfigError(f"scenario document is missing key {missing}") from missing
@@ -498,7 +539,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ConfigError(f"search: evaluations must be a positive integer, got {evaluations!r}")
     trace = _block("trace", doc.get("trace", {}), ("peak", "noise", "profiles"))
     return Scenario(
-        name=doc.get("name", "scenario"),
+        name=path_component("scenario: name", doc.get("name", "scenario")),
         topology=topology,
         primitives=primitives,
         objectives=objectives,
@@ -530,12 +571,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     pm_ids = [pm.id for pm in topo.pms]
     vm_ids = [vm.id for vm in topo.vms]
     svc_ids = [svc.id for svc in topo.services]
-    for label, ids in (("pms", pm_ids), ("vms", vm_ids), ("services", svc_ids)):
-        seen = set()
-        for i, id_ in enumerate(ids):
-            if id_ in seen:
-                problems.append(f"topology.{label}[{i}]: duplicate id {id_!r}")
-            seen.add(id_)
+    for pm in topo.pms:
+        for resource, amount in pm.capacity.items():
+            if amount < 0:
+                problems.append(f"topology.pms[{pm.id}].capacity.{resource}: "
+                                f"must be non-negative, got {amount}")
     for i, vm in enumerate(topo.vms):
         if vm.pm not in pm_ids:
             problems.append(f"topology.vms[{i}]: unknown pm {vm.pm!r}")
@@ -572,10 +612,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if not 0 < spec.adapt_fraction < 1:
             problems.append(f"{where}.adapt_fraction: must lie in (0, 1), got {spec.adapt_fraction}")
         if spec.scope == SCOPE_VM and spec.owner in vm_ids:
-            pm = topo.pm_by_id(topo.vm_by_id(spec.owner).pm)
-            if spec.resource not in pm.capacity:
+            pm_id = topo.vm_by_id(spec.owner).pm     # an unknown PM is reported above
+            if pm_id in pm_ids and spec.resource not in topo.pm_by_id(pm_id).capacity:
                 problems.append(
-                    f"{where}.resource: {spec.resource!r} has no capacity entry on {pm.id}"
+                    f"{where}.resource: {spec.resource!r} has no capacity entry on {pm_id}"
                 )
 
     owned = {(spec.scope, spec.owner, spec.resource) for spec in scenario.primitives.values()}
@@ -593,7 +633,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if obj.threshold <= 0:
             problems.append(f"{where}.threshold: must be positive, got {obj.threshold}")
 
+    # the monotone form RegionModel.unattainable documents, and a usable noise level
+    params = dataclasses.asdict(scenario.model)
+    for key in ("min_capacity", "cpu_contention_limit"):
+        if params[key] <= 0:
+            problems.append(f"model.{key}: must be positive, got {params[key]}")
+    for key in ("cpu_rate", "thread_rate", "overload_penalty", "rt_base_ms", "rel_slope",
+                "avail_slope", "noise_std"):
+        if params[key] < 0:
+            problems.append(f"model.{key}: must be non-negative, got {params[key]}")
+
     managed = {svc.id for svc in topo.services if svc.managed}
+    if not managed:
+        problems.append("topology.services: no service is managed, so no trace drives a plan")
     for key, value in (("peak", scenario.trace_peak), ("noise", scenario.trace_noise)):
         if value < 0:
             problems.append(f"trace.{key}: must be non-negative, got {value}")

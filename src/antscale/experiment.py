@@ -18,7 +18,7 @@ import numpy as np
 
 from . import baselines, colony, traces
 from .dominance import select_compromise
-from .domain import ConfigError, Decision, Scenario
+from .domain import ConfigError, Decision, Scenario, path_component
 from .metrics import (
     ObjectiveRecord,
     ProvisionRecord,
@@ -59,19 +59,22 @@ def derive_seed(*parts) -> int:
 
 
 def resolve_trace(plan: ExperimentPlan) -> dict:
-    """The plan's trace, synthesized when none was supplied, checked for length."""
-    if plan.trace is not None:
-        trace = plan.trace
-    else:
-        scenario = plan.scenario
+    """The plan's trace, synthesized when none was supplied, checked for coverage and length."""
+    scenario = plan.scenario
+    managed = [s.id for s in scenario.topology.services if s.managed]
+    trace = plan.trace
+    if trace is None:
         trace = traces.synthetic_trace(
-            [s.id for s in scenario.topology.services if s.managed],
+            managed,
             plan.intervals,
             seed=derive_seed(plan.seed, "trace"),
             peak=scenario.trace_peak,
             noise=scenario.trace_noise,
             profiles=scenario.trace_profiles,
         )
+    for sid in managed:
+        if sid not in trace:
+            raise ConfigError(f"trace has no series for managed service {sid}")
     length = min(len(v) for v in trace.values())
     if length < plan.intervals:
         raise ConfigError(
@@ -180,6 +183,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         raise ConfigError("warmup must lie inside the simulated horizon")
     if plan.runs < 1:
         raise ConfigError(f"runs must be at least 1, got {plan.runs}")
+    path_component("the plan name", plan.name)
     # a NaN budget would turn every deadline check off
     if not plan.time_budget_s > 0:
         raise ConfigError(f"the time budget must be a number > 0, got {plan.time_budget_s}")

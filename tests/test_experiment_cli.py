@@ -2,9 +2,13 @@
 
 import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antscale import cli
 from antscale.domain import (
@@ -411,6 +415,21 @@ def smoke_with(*path) -> dict:
     return doc
 
 
+def smoke_with_a_second(block: str, entry: dict) -> dict:
+    """The smoke document with ``entry`` appended to the list ``block``."""
+    doc = smoke_doc()
+    entries = doc["topology"][block] if block in ("pms", "vms", "services") else doc[block]
+    entries.append(entry)
+    return doc
+
+
+def smoke_unmanaged() -> dict:
+    doc = smoke_doc()
+    for service in doc["topology"]["services"]:
+        service["managed"] = False
+    return doc
+
+
 def smoke_unmanaged_s2_profile() -> dict:
     doc = smoke_with("trace", "profiles", {"s2": 1.0})
     doc["topology"]["services"][1]["managed"] = False
@@ -455,6 +474,40 @@ def smoke_unmanaged_s2_profile() -> dict:
     (lambda: smoke_with("algorithms", "annealing", {}), "algorithms: unknown keys ['annealing']"),
     (lambda: smoke_with("algorithms", "search", "budget", 100), "search: unknown keys ['budget']"),
     (lambda: smoke_with("comment", "two services"), "scenario: unknown keys ['comment']"),
+    (lambda: smoke_with("primitives", 0, ["v1.cpu"]),
+     "primitives[0]: must be an object, got ['v1.cpu']"),
+    (lambda: smoke_with("topology", "vms", 0, "v1"), "topology.vms[0]: must be an object, got 'v1'"),
+    (lambda: smoke_with("objectives", 0, 5), "objectives[0]: must be an object, got 5"),
+    (lambda: smoke_with("primitives", {"v1.cpu": smoke_doc()["primitives"][0]}),
+     "primitives: must be a list"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "id", ["v1.cpu"]),
+     "primitives[0]: id must be a string, got ['v1.cpu']"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "resource", ["cpu"]),
+     "primitive v1.cpu: resource must be a string, got ['cpu']"),
+    (functools.partial(smoke_entry, "objectives", "s1.rt", "kind", ["response_time"]),
+     "objective s1.rt: kind must be a string, got ['response_time']"),
+    (lambda: smoke_with("regions", 0, "objectives", "s1.rt"),
+     "region r1: objectives must be a list of strings, got 's1.rt'"),
+    (lambda: smoke_with_a_second("primitives", dict(smoke_doc()["primitives"][0], price=0.5)),
+     "primitives[4]: duplicate id 'v1.cpu'"),
+    (lambda: smoke_with_a_second("regions", {"id": "r1", "objectives": [], "primitives": []}),
+     "regions[1]: duplicate id 'r1'"),
+    (lambda: smoke_with_a_second("pms", {"id": "pm1", "capacity": {}}),
+     "topology.pms[1]: duplicate id 'pm1'"),
+    (lambda: smoke_with("model", "noise_std", -0.05), "model.noise_std: must be non-negative"),
+    (lambda: smoke_with("model", "cpu_contention_limit", 0),
+     "model.cpu_contention_limit: must be positive, got 0.0"),
+    (lambda: smoke_with("model", "min_capacity", -1.0), "model.min_capacity: must be positive"),
+    (lambda: smoke_with("model", "rel_slope", -2.0), "model.rel_slope: must be non-negative"),
+    (lambda: smoke_with("topology", "pms", 0, "capacity", "cpu", -5),
+     "topology.pms[pm1].capacity.cpu: must be non-negative, got -5.0"),
+    (smoke_unmanaged, "topology.services: no service is managed"),
+    (lambda: smoke_with("name", "../escaped"),
+     "scenario: name must be a single path component, got '../escaped'"),
+    (lambda: smoke_with("name", "a/b"), "scenario: name must be a single path component"),
+    (lambda: smoke_with("name", ".."), "scenario: name must be a single path component"),
+    (lambda: smoke_with("name", ""), "scenario: name must be a single path component, got ''"),
+    (lambda: smoke_with("name", 5), "scenario: name must be a single path component, got 5"),
 ], ids=[
     "custom-kind", "cost-model", "throughput-price-sum", "minimized-throughput",
     "maximized-cost", "no-vm-memory", "moaco-rho", "nan-model-coefficient", "triple-split",
@@ -462,21 +515,73 @@ def smoke_unmanaged_s2_profile() -> dict:
     "primitive-key-typo", "nan-trace-noise", "string-trace-peak", "negative-trace-peak",
     "unknown-trace-key", "trace-profiles-list", "string-trace-profile", "negative-trace-profile",
     "unknown-service-profile", "unmanaged-service-profile", "unknown-algorithm",
-    "unknown-search-key", "unknown-top-level-key",
+    "unknown-search-key", "unknown-top-level-key", "list-primitive", "string-vm",
+    "number-objective", "primitives-object", "list-primitive-id", "list-resource", "list-kind",
+    "string-region-objectives", "duplicate-primitive", "duplicate-region", "duplicate-pm",
+    "negative-noise", "zero-contention-limit", "negative-min-capacity", "negative-slope",
+    "negative-pm-capacity", "no-managed-service", "escaping-name", "nested-name", "parent-name",
+    "empty-name", "number-name",
 ])
 def test_validate_and_run_both_refuse_a_bad_scenario(tmp_path, capsys, make_doc, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(make_doc()))
-    assert exit_code(["validate", "--scenario", str(path)]) != 0
+    code = exit_code(["validate", "--scenario", str(path)])
     captured = capsys.readouterr()
-    assert named in captured.out + captured.err
+    # the parser's refusal is an error and exits 2; a problem validate lists exits 1
+    assert named in {2: captured.err, 1: captured.out}.get(code, "")
     assert exit_code([
         "run", "--scenario", str(path), "--approaches", "rule",
         "--intervals", "4", "--warmup", "1", "--runs", "1",
         "--out", str(tmp_path / "out"), "--quiet",
     ]) == 2
     assert named in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_run_refuses_a_trace_without_a_managed_service(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("interval,service_id,req_per_min\n" + "".join(f"{t},s1,50\n" for t in range(4)))
+    assert cli.main([
+        "run", "--scenario", str(SMOKE_PATH), "--trace", str(trace), "--approaches", "rule",
+        "--intervals", "4", "--warmup", "1", "--runs", "1",
+        "--out", str(tmp_path / "out"), "--quiet",
+    ]) == 2
+    assert "error: trace has no series for managed service s2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def leaf_paths(doc, path=()) -> list:
+    """The key paths of every value in ``doc`` that is not a non-empty list or object."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in leaf_paths(value, path + (key,))]
+    return [path]
+
+
+# integers stay small: a grid bound near 10**9 would make a billion-value grid
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000), st.floats(), st.text(max_size=4),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(leaf=st.sampled_from(leaf_paths(smoke_doc())), value=JSON_VALUES)
+def test_no_scenario_document_crashes_the_cli(leaf, value):
+    # validate refuses or accepts; a plan on a document it accepts runs or refuses
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(smoke_with(*leaf, value)))
+        code = exit_code(["validate", "--scenario", str(path)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert exit_code([
+                "run", "--scenario", str(path), "--approaches", "rule", "--intervals", "4",
+                "--warmup", "1", "--runs", "1", "--out", str(Path(tmp) / "out"), "--quiet",
+            ]) in (0, 2)
 
 
 def test_run_refuses_a_nan_trace_load(tmp_path, capsys):
@@ -500,7 +605,13 @@ def test_run_refuses_a_nan_trace_load(tmp_path, capsys):
     ("--time-budget", "nan", "the time budget must be a number > 0, got nan"),
     ("--time-budget", "-1", "the time budget must be a number > 0, got -1.0"),
     ("--time-budget", "0", "the time budget must be a number > 0, got 0.0"),
-], ids=["no-runs", "nan-budget", "negative-budget", "zero-budget"])
+    ("--name", "../escaped", "the plan name must be a single path component, got '../escaped'"),
+    ("--name", "a/b", "the plan name must be a single path component, got 'a/b'"),
+    ("--name", "..", "the plan name must be a single path component, got '..'"),
+    ("--name", ".", "the plan name must be a single path component, got '.'"),
+    ("--name", "", "the plan name must be a single path component, got ''"),
+], ids=["no-runs", "nan-budget", "negative-budget", "zero-budget", "escaping-name",
+        "nested-name", "parent-name", "dot-name", "empty-name"])
 def test_run_refuses_a_bad_plan_value(tmp_path, capsys, flag, value, named):
     argv = [
         "run", "--scenario", str(SMOKE_PATH), "--approaches", "rule",
@@ -509,7 +620,7 @@ def test_run_refuses_a_bad_plan_value(tmp_path, capsys, flag, value, named):
     ]
     assert cli.main(argv + [flag, value]) == 2
     assert f"error: {named}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_settings_are_read_once_when_the_scenario_loads(tmp_path, monkeypatch):

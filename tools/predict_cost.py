@@ -24,11 +24,12 @@ draw a seeded block of 6 rounds, ``(rounds, ants, primitives)``. Then:
   (``guide``) and six rounds at a time (``guide_block_6``, per round);
   ``guide_table_build`` is the once-per-iteration cost of building the
   sampler;
-- ``construction_us_per_block``: the 6x150 block as the colony builds it
-  when ants may close (``full``: every primitive drawn, gathered, then
+- ``construction_us_per_block``: the 6x150 block scored by the colony's
+  own block scorers, as when ants may close (``full``:
+  ``colony.score_rounds``, every primitive drawn, gathered, then
   ``predict_matrix`` and ``violation_counts``) and when a requirement is
-  certified unattainable (``footprint``: each ant's footprint drawn and
-  gathered, then ``RegionModel.own_objective``).
+  certified unattainable (``footprint``: ``colony.score_footprints``, each
+  ant's footprint drawn and gathered, then ``RegionModel.own_objective``).
 
 Each figure is the least mean over seven repeats, in microseconds, and the
 result is one JSON object on standard output. The package is imported from
@@ -139,28 +140,15 @@ def sampling_costs(cdf) -> dict:
 
 
 def construction_costs(model, env, values, u, sampler, objs) -> dict:
-    n_prims = values.shape[0]
-    prims = np.arange(n_prims)
-
-    def full():
-        vectors = model.predict_matrix(values[prims, sampler.draw(u, objs)], env)
-        model.violation_counts(vectors)
-
-    # a block scored footprint-only, as colony.optimize's construction loop
-    # scores it; the kept rows' evaluation ends the iteration, not the block
-    ants, fp_prims = np.nonzero(model.footprints[objs])
-    cells, slots = ants * n_prims + fp_prims, fp_prims * values.shape[1]
-    block = np.zeros(u.shape)
-    flat_u, flat_block = u.reshape(ROUNDS, -1), block.reshape(ROUNDS, -1)
-    grid_values = values.ravel()
-
-    def footprint():
-        drawn = sampler.draw_at(flat_u[:, cells], objs[ants], fp_prims)
-        flat_block[:, cells] = grid_values[slots + drawn]
-        model.own_objective(block, env, objs)
-
-    return {f"full_{ROUNDS}x{ANTS}": us_per_call(full, 200),
-            f"footprint_{ROUNDS}x{ANTS}": us_per_call(footprint, 200)}
+    # both of colony.optimize's block scorers; the kept rows' evaluation
+    # ends the iteration, not the block
+    layout = colony.footprint_layout(model, values, objs, ROUNDS)
+    return {
+        f"full_{ROUNDS}x{ANTS}": us_per_call(
+            lambda: colony.score_rounds(model, env, values, sampler, u, objs), 200),
+        f"footprint_{ROUNDS}x{ANTS}": us_per_call(
+            lambda: colony.score_footprints(model, env, values, sampler, u, objs, layout), 200),
+    }
 
 
 def main() -> int:
