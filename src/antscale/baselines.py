@@ -141,11 +141,13 @@ def random_search(runtime, budget: int, rng, time_budget_s: float = np.inf) -> D
 
 
 def hill_climb(runtime, budget: int, rng, time_budget_s: float = np.inf) -> Decision:
-    """First-improvement climbing over one-notch moves, with random restarts.
+    """Best-improvement climbing over one-notch moves, with random restarts.
 
-    Every climb starts from a uniform-random decision. A climb ends at a
-    local optimum of the running-normalized weighted sum; among all climb end
-    points the one scoring best under the final normalization is returned.
+    Every climb starts from a uniform-random decision. Each step scores every
+    one-notch neighbour and moves to the best one if it beats the current
+    decision, so a climb ends at a local optimum of the running-normalized
+    weighted sum; among all climb end points the one scoring best under the
+    final normalization is returned.
     """
     model = runtime.model
     values, valid = grid_table(runtime.grids)

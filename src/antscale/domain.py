@@ -111,6 +111,16 @@ def _reals(where: str, doc) -> dict:
     return {key: _read(where, doc, key, float) for key in _block(where, doc)}
 
 
+def _settings(where: str, cls, doc) -> dict:
+    """The fields of ``cls`` that ``doc`` sets: an int field as an integer, any other as a real.
+
+    The plan's per-decision budget sets ``time_budget_s``; a scenario may not.
+    """
+    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "time_budget_s"}
+    doc = _block(where, doc, kinds)
+    return {key: _read(where, doc, key, int if kinds[key] is int else float) for key in doc}
+
+
 def _names(where: str, doc: dict, key: str) -> tuple:
     """``doc[key]``, a list of strings, as a tuple."""
     names = doc[key]
@@ -119,12 +129,14 @@ def _names(where: str, doc: dict, key: str) -> tuple:
     return tuple(names)
 
 
-def _entries(path: str, label: str, docs, keys) -> list:
+def _entries(path: str, label: str, docs, keys, cloned: bool = False) -> list:
     """``(where, entry)`` for each entry of the list ``docs`` found at ``path``.
 
     Every entry must be an object with keys from ``keys`` and a string
     ``id`` that no other entry of the list has; ``where`` names it as
-    ``"<label> <id>"``.
+    ``"<label> <id>"``. Scale-out clones the entries of a ``cloned`` list
+    (VMs, services and their primitives) under ids that hold REPLICA_MARK,
+    so a declared id there may not hold it.
     """
     if not isinstance(docs, list):
         raise ConfigError(f"{path}: must be a list, got {docs!r}")
@@ -133,6 +145,8 @@ def _entries(path: str, label: str, docs, keys) -> list:
         eid = _read(f"{path}[{i}]", _block(f"{path}[{i}]", entry), "id", str)
         if eid in found:
             raise ConfigError(f"{path}[{i}]: duplicate id {eid!r}")
+        if cloned and REPLICA_MARK in eid:
+            raise ConfigError(f"{path}[{i}]: id {eid!r} holds the replica mark {REPLICA_MARK!r}")
         found[eid] = _block(f"{label} {eid}", entry, keys)
     return [(f"{label} {eid}", entry) for eid, entry in found.items()]
 
@@ -334,8 +348,7 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelParams":
-        doc = _block("model", doc, cls.__dataclass_fields__)
-        return cls(**{key: _read("model", doc, key, float) for key in doc})
+        return cls(**_settings("model", cls, doc))
 
 
 @dataclass(frozen=True)
@@ -353,19 +366,18 @@ class MoacoConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MoacoConfig":
-        # the plan's per-decision budget sets time_budget_s; a scenario may not
-        cfg = cls(**_block("moaco", doc, set(cls.__dataclass_fields__) - {"time_budget_s"}))
+        cfg = cls(**_settings("moaco", cls, doc))
         for name in ("max_iteration", "max_ant", "max_run"):
             value = getattr(cfg, name)
-            if not is_integer(value) or value < 1:
+            if value < 1:
                 raise ConfigError(f"moaco: {name} must be a positive integer, got {value!r}")
         for name in ("alpha", "beta"):
             value = getattr(cfg, name)
-            if not is_real(value) or not 0 <= value < math.inf:
+            if value < 0:
                 raise ConfigError(f"moaco: {name} must be a finite number >= 0, got {value!r}")
-        if not is_real(cfg.rho) or not 0 < cfg.rho < 1:
+        if not 0 < cfg.rho < 1:
             raise ConfigError(f"moaco: rho must lie in (0, 1), got {cfg.rho!r}")
-        if not is_real(cfg.floor_ratio) or not 0 < cfg.floor_ratio <= 1:
+        if not 0 < cfg.floor_ratio <= 1:
             raise ConfigError(f"moaco: floor_ratio must lie in (0, 1], got {cfg.floor_ratio!r}")
         return cfg
 
@@ -380,19 +392,18 @@ class MogaConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MogaConfig":
-        # the plan's per-decision budget sets time_budget_s; a scenario may not
-        cfg = cls(**_block("moga", doc, set(cls.__dataclass_fields__) - {"time_budget_s"}))
-        if not is_integer(cfg.population) or cfg.population < 2 or cfg.population % 2:
+        cfg = cls(**_settings("moga", cls, doc))
+        if cfg.population < 2 or cfg.population % 2:
             raise ConfigError(
                 f"moga: population must be a positive even integer, got {cfg.population!r}")
-        if not is_integer(cfg.generations) or cfg.generations < 0:
+        if cfg.generations < 0:
             raise ConfigError(
                 f"moga: generations must be an integer >= 0, got {cfg.generations!r}")
         rates = {"crossover_rate": cfg.crossover_rate}
         if cfg.mutation_rate is not None:
             rates["mutation_rate"] = cfg.mutation_rate
         for name, value in rates.items():
-            if not is_real(value) or not 0 <= value <= 1:
+            if not 0 <= value <= 1:
                 raise ConfigError(f"moga: {name} must lie in [0, 1], got {value!r}")
         return cfg
 
@@ -489,8 +500,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     A missing or unknown key, a value that breaks the type rule of
     :func:`_read`, a list entry that is not an object with a unique string
-    ``id``, or a ``name`` that is not a single path component raises
-    ConfigError; ranges and references are left to :func:`validate_scenario`.
+    ``id``, a VM, service or primitive id that holds the replica mark, or a
+    ``name`` that is not a single path component raises ConfigError; ranges
+    and references are left to :func:`validate_scenario`.
     """
     _block("scenario", doc, (
         "name", "topology", "primitives", "objectives", "regions", "model", "algorithms", "trace",
@@ -504,19 +516,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ),
             vms=tuple(
                 VirtualMachine(v["id"], _read(where, v, "pm", str))
-                for where, v in _entries("topology.vms", "vm", topo_doc["vms"], ("id", "pm"))
+                for where, v in _entries("topology.vms", "vm", topo_doc["vms"], ("id", "pm"),
+                                         cloned=True)
             ),
             services=tuple(
                 ServiceInstance(s["id"], _read(where, s, "vm", str),
                                 _read(where, s, "managed", bool, True))
                 for where, s in _entries("topology.services", "service", topo_doc["services"],
-                                         ("id", "vm", "managed"))
+                                         ("id", "vm", "managed"), cloned=True)
             ),
         )
         primitives = {
             entry["id"]: _primitive_from_dict(where, entry)
             for where, entry in _entries("primitives", "primitive", doc["primitives"],
-                                         _PRIMITIVE_KEYS)
+                                         _PRIMITIVE_KEYS, cloned=True)
         }
         objectives = {
             entry["id"]: _objective_from_dict(where, entry)

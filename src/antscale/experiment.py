@@ -60,6 +60,8 @@ def derive_seed(*parts) -> int:
 
 def resolve_trace(plan: ExperimentPlan) -> dict:
     """The plan's trace, synthesized when none was supplied, checked for coverage and length."""
+    if plan.intervals < 1:
+        raise ConfigError(f"the horizon must be at least 1 interval, got {plan.intervals}")
     scenario = plan.scenario
     managed = [s.id for s in scenario.topology.services if s.managed]
     trace = plan.trace
@@ -176,6 +178,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     "out": plan directory} for programmatic use. Repetitions may execute in
     parallel processes; outputs are assembled in plan order regardless.
     """
+    if not plan.approaches:
+        raise ConfigError(f"the plan names no approach; expected some of {APPROACHES}")
+    if len(set(plan.approaches)) < len(plan.approaches):
+        raise ConfigError(f"the plan names an approach twice: {','.join(plan.approaches)}")
     for approach in plan.approaches:
         if approach not in APPROACHES:
             raise ConfigError(f"unknown approach {approach!r}; expected one of {APPROACHES}")
@@ -236,7 +242,7 @@ def summarize(plan: ExperimentPlan, logs: dict) -> list:
     ]
     tails = {a: [log.tail(plan.warmup) for log in runs] for a, runs in logs.items()}
     merged = {a: merge_runs(runs) for a, runs in tails.items()}
-    resources = merged[plan.approaches[0]].resources() if plan.approaches else []
+    resources = tails[plan.approaches[0]][0].resources()
 
     rows = []
     for approach in plan.approaches:

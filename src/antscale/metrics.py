@@ -57,41 +57,24 @@ class RunLog:
             latency_records=[r for r in self.latency_records if r.interval >= first_interval],
         )
 
-    def objective_ids(self) -> list:
-        seen = {}
+    def objective_means(self) -> dict:
+        """{objective id: (interval average, direction)} in first-seen order, in one pass."""
+        series = {}
         for r in self.objective_records:
-            seen.setdefault(r.objective_id, None)
-        return list(seen)
-
-    def series(self, objective_id: str) -> list:
-        return [r.value for r in self.objective_records if r.objective_id == objective_id]
-
-    def direction(self, objective_id: str) -> str:
-        for r in self.objective_records:
-            if r.objective_id == objective_id:
-                return r.direction
-        raise KeyError(objective_id)
+            series.setdefault(r.objective_id, (r.direction, []))[1].append(r.value)
+        return {oid: (sum(values) / len(values), direction)
+                for oid, (direction, values) in series.items()}
 
     def filter_resource(self, resource: str) -> "RunLog":
+        """Copy holding only the provision records of one resource."""
         return RunLog(
             approach=self.approach,
-            objective_records=list(self.objective_records),
             provision_records=[r for r in self.provision_records if r.resource == resource],
-            latency_records=list(self.latency_records),
         )
 
     def resources(self) -> list:
-        seen = {}
-        for r in self.provision_records:
-            seen.setdefault(r.resource, None)
-        return list(seen)
-
-
-def _mean(values) -> float:
-    values = list(values)
-    if not values:
-        raise ValueError("empty series")
-    return sum(values) / len(values)
+        """Resource labels of the provision records, in first-seen order."""
+        return list(dict.fromkeys(r.resource for r in self.provision_records))
 
 
 def c_metric(a: RunLog, b: RunLog) -> float:
@@ -99,20 +82,16 @@ def c_metric(a: RunLog, b: RunLog) -> float:
 
     Ties count for both sides, so c_metric(a, b) + c_metric(b, a) >= 1.
     """
-    ids_a, ids_b = a.objective_ids(), b.objective_ids()
-    if set(ids_a) != set(ids_b):
+    means_a, means_b = a.objective_means(), b.objective_means()
+    if means_a.keys() != means_b.keys():
         raise ValueError("logs cover different objective sets")
-    if not ids_a:
+    if not means_a:
         raise ValueError("logs contain no objective records")
     wins = 0
-    for oid in ids_a:
-        avg_a = _mean(a.series(oid))
-        avg_b = _mean(b.series(oid))
-        if a.direction(oid) == MINIMIZE:
-            wins += avg_a <= avg_b
-        else:
-            wins += avg_a >= avg_b
-    return wins / len(ids_a)
+    for oid, (avg_a, direction) in means_a.items():
+        avg_b = means_b[oid][0]
+        wins += avg_a <= avg_b if direction == MINIMIZE else avg_a >= avg_b
+    return wins / len(means_a)
 
 
 def g_distance(logs: dict, target: str) -> float:
@@ -125,19 +104,18 @@ def g_distance(logs: dict, target: str) -> float:
     """
     if target not in logs:
         raise KeyError(target)
-    ids = logs[target].objective_ids()
-    for log in logs.values():
-        if set(log.objective_ids()) != set(ids):
-            raise ValueError("logs cover different objective sets")
+    means = {name: log.objective_means() for name, log in logs.items()}
+    own = means[target]
+    if any(m.keys() != own.keys() for m in means.values()):
+        raise ValueError("logs cover different objective sets")
     acc = 0.0
-    for oid in ids:
-        averages = {name: _mean(log.series(oid)) for name, log in logs.items()}
-        direction = logs[target].direction(oid)
-        best = min(averages.values()) if direction == MINIMIZE else max(averages.values())
-        scale = max(averages.values())
+    for oid, (average, direction) in own.items():
+        averages = [m[oid][0] for m in means.values()]
+        best = min(averages) if direction == MINIMIZE else max(averages)
+        scale = max(averages)
         if scale == 0:
             continue
-        coord = (averages[target] - best) / scale
+        coord = (average - best) / scale
         acc += coord * coord
     return math.sqrt(acc)
 
@@ -197,22 +175,19 @@ def overhead(log: RunLog) -> tuple:
 
 
 def merge_runs(logs: list) -> RunLog:
-    """Average repeated runs into one log for cross-approach comparisons.
+    """Average repeated runs' objective values per (interval, id) into one log.
 
-    Objective values and provision/demand pairs are averaged per (interval,
-    id); latencies are pooled. All logs must share one approach label and one
-    record structure.
+    The merged log holds objective records only, which is all the
+    cross-approach comparisons read. All logs must share one approach label and
+    one objective record structure.
     """
     if not logs:
         raise ValueError("nothing to merge")
     first = logs[0]
+    if any(len(log.objective_records) != len(first.objective_records) for log in logs):
+        raise ValueError("runs have mismatched record counts")
     merged = RunLog(approach=first.approach)
     n = len(logs)
-    for other in logs[1:]:
-        if len(other.objective_records) != len(first.objective_records) or len(
-            other.provision_records
-        ) != len(first.provision_records):
-            raise ValueError("runs have mismatched record counts")
     for i, r in enumerate(first.objective_records):
         total = 0.0
         for log in logs:
@@ -223,20 +198,6 @@ def merge_runs(logs: list) -> RunLog:
         merged.objective_records.append(
             ObjectiveRecord(r.interval, r.objective_id, total / n, r.threshold, r.direction)
         )
-    for i, r in enumerate(first.provision_records):
-        prov = 0.0
-        dem = 0.0
-        for log in logs:
-            peer = log.provision_records[i]
-            if (peer.interval, peer.primitive_id) != (r.interval, r.primitive_id):
-                raise ValueError("runs have mismatched provisioning records")
-            prov += peer.provision
-            dem += peer.demand
-        merged.provision_records.append(
-            ProvisionRecord(r.interval, r.primitive_id, prov / n, dem / n, r.resource)
-        )
-    pooled = [rec for log in logs for rec in log.latency_records]
-    merged.latency_records = sorted(pooled, key=lambda rec: (rec.interval, rec.seconds))
     return merged
 
 

@@ -78,7 +78,7 @@ def write_trace_csv(path, workloads: dict) -> None:
 def load_trace_csv(path) -> dict:
     """Read a trace CSV back into service -> series form, checking shape.
 
-    Raises ConfigError on a malformed header, gaps in the interval sequence,
+    Raises ConfigError on a malformed header, a repeated or missing interval,
     loads that are negative or not finite, or series of unequal length.
     """
     per_service = {}
@@ -98,7 +98,12 @@ def load_trace_csv(path) -> dict:
                 raise ConfigError(f"trace {path}:{row_no}: malformed row {row!r}") from exc
             if not 0 <= load < np.inf:
                 raise ConfigError(f"trace {path}:{row_no}: load {load} is negative or not finite")
-            per_service.setdefault(service_id, {})[interval] = load
+            samples = per_service.setdefault(service_id, {})
+            if interval in samples:
+                raise ConfigError(
+                    f"trace {path}:{row_no}: repeats interval {interval} of {service_id}"
+                )
+            samples[interval] = load
     if not per_service:
         raise ConfigError(f"trace {path}: no data rows")
     series = {}

@@ -7,7 +7,8 @@ reimplemented locally from first principles rather than imported, so a bug
 in the library cannot hide itself.
 
 Criteria 5 and 6 share one comparative experiment over the bundled
-three-VM scenario; it runs once per session and takes several minutes.
+three-VM scenario; it runs once per session, in two worker processes,
+and takes about a minute.
 """
 
 import itertools
@@ -264,6 +265,7 @@ def comparative(tmp_path_factory):
         seed=1,
         time_budget_s=5.0,
         out_dir=str(tmp_path_factory.mktemp("acceptance")),
+        threads=2,
         quiet=True,
     )
     started = time.perf_counter()

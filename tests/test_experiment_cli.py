@@ -275,6 +275,17 @@ def test_cli_gen_trace_writes_the_trace_run_synthesizes(smoke_scenario, tmp_path
     assert load_trace_csv(path) == want
 
 
+@pytest.mark.parametrize("intervals", ["0", "-3"])
+def test_cli_gen_trace_refuses_an_empty_horizon(tmp_path, capsys, intervals):
+    assert cli.main([
+        "gen-trace", "--scenario", str(SMOKE_PATH), "--intervals", intervals,
+        "--out", str(tmp_path / "trace.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the horizon must be at least 1 interval, got {intervals}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_end_to_end_with_supplied_trace(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     cli.main([
@@ -339,6 +350,8 @@ def test_cli_thread_count_reads_environment(tmp_path, monkeypatch, capsys):
     ("floor_ratio", 0.0), ("floor_ratio", 2.0), ("alpha", -1.0), ("beta", -0.5),
     ("max_ant", 0), ("max_iteration", -2), ("max_run", 2.5), ("max_ant", True),
     ("alpha", "4"), ("time_budget_s", 5.0),
+    # too large for a float: refused as it loads, not with an OverflowError in the run
+    pytest.param("alpha", 10**400, id="alpha-10**400"),
 ])
 def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     doc = smoke_doc()
@@ -421,6 +434,11 @@ def smoke_with_a_second(block: str, entry: dict) -> dict:
     entries = doc["topology"][block] if block in ("pms", "vms", "services") else doc[block]
     entries.append(entry)
     return doc
+
+
+def smoke_renamed(old: str, new: str) -> dict:
+    """The smoke document with every id, reference and name that starts ``old`` renamed."""
+    return json.loads(json.dumps(smoke_doc()).replace(f'"{old}', f'"{new}'))
 
 
 def smoke_unmanaged() -> dict:
@@ -508,6 +526,11 @@ def smoke_unmanaged_s2_profile() -> dict:
     (lambda: smoke_with("name", ".."), "scenario: name must be a single path component"),
     (lambda: smoke_with("name", ""), "scenario: name must be a single path component, got ''"),
     (lambda: smoke_with("name", 5), "scenario: name must be a single path component, got 5"),
+    (lambda: smoke_renamed("s2", "s~r2"),
+     "topology.services[1]: id 's~r2' holds the replica mark '~r'"),
+    (lambda: smoke_renamed("v1", "v~r1"), "topology.vms[0]: id 'v~r1' holds the replica mark"),
+    (functools.partial(smoke_entry, "primitives", "s2.thread", "id", "v1~r1.cpu"),
+     "primitives[3]: id 'v1~r1.cpu' holds the replica mark"),
 ], ids=[
     "custom-kind", "cost-model", "throughput-price-sum", "minimized-throughput",
     "maximized-cost", "no-vm-memory", "moaco-rho", "nan-model-coefficient", "triple-split",
@@ -520,7 +543,8 @@ def smoke_unmanaged_s2_profile() -> dict:
     "string-region-objectives", "duplicate-primitive", "duplicate-region", "duplicate-pm",
     "negative-noise", "zero-contention-limit", "negative-min-capacity", "negative-slope",
     "negative-pm-capacity", "no-managed-service", "escaping-name", "nested-name", "parent-name",
-    "empty-name", "number-name",
+    "empty-name", "number-name", "replica-marked-service", "replica-marked-vm",
+    "clone-named-primitive",
 ])
 def test_validate_and_run_both_refuse_a_bad_scenario(tmp_path, capsys, make_doc, named):
     path = tmp_path / "bad.json"
@@ -610,8 +634,11 @@ def test_run_refuses_a_nan_trace_load(tmp_path, capsys):
     ("--name", "..", "the plan name must be a single path component, got '..'"),
     ("--name", ".", "the plan name must be a single path component, got '.'"),
     ("--name", "", "the plan name must be a single path component, got ''"),
+    ("--approaches", "rule,rule", "the plan names an approach twice: rule,rule"),
+    ("--approaches", ",", "the plan names no approach"),
 ], ids=["no-runs", "nan-budget", "negative-budget", "zero-budget", "escaping-name",
-        "nested-name", "parent-name", "dot-name", "empty-name"])
+        "nested-name", "parent-name", "dot-name", "empty-name", "repeated-approach",
+        "no-approach"])
 def test_run_refuses_a_bad_plan_value(tmp_path, capsys, flag, value, named):
     argv = [
         "run", "--scenario", str(SMOKE_PATH), "--approaches", "rule",

@@ -250,6 +250,30 @@ def test_metrics_ignore_record_order():
             provisioning_pct(straight_p, mode)
         )
 
+    # run logs interleave objectives interval by interval; shuffle that too
+    series = {
+        name: {
+            f"o{j}": ("minimize" if j % 2 else "maximize", 5.0, list(rng.uniform(0, 4, size=6)))
+            for j in range(5)
+        }
+        for name in ("a", "b", "c")
+    }
+    shuffled = {}
+    for name, by_objective in series.items():
+        records = [
+            ObjectiveRecord(i, oid, float(values[i]), threshold, direction)
+            for i in range(6)
+            for oid, (direction, threshold, values) in by_objective.items()
+        ]
+        perm = rng.permutation(len(records))
+        shuffled[name] = RunLog(approach=name, objective_records=[records[i] for i in perm])
+    straight = {name: multi_log(s, approach=name) for name, s in series.items()}
+    for x in series:
+        for y in series:
+            assert c_metric(shuffled[x], shuffled[y]) == c_metric(straight[x], straight[y])
+        assert g_distance(shuffled, x) == pytest.approx(g_distance(straight, x))
+    assert 0 < c_metric(straight["a"], straight["b"]) < 1
+
 
 # -- tail, merge, and persistence ------------------------------------------
 
@@ -266,17 +290,6 @@ def test_merge_runs_averages_values():
     b = obj_log([3.0, 5.0])
     merged = merge_runs([a, b])
     assert [r.value for r in merged.objective_records] == [2.0, 4.0]
-
-
-def test_merge_runs_averages_provision_and_pools_latency():
-    a = prov_log([(10.0, 5.0)])
-    a.latency_records = [LatencyRecord(0, 2.0)]
-    b = prov_log([(30.0, 15.0)])
-    b.latency_records = [LatencyRecord(0, 1.0)]
-    merged = merge_runs([a, b])
-    assert merged.provision_records[0].provision == 20.0
-    assert merged.provision_records[0].demand == 10.0
-    assert [r.seconds for r in merged.latency_records] == [1.0, 2.0]
 
 
 def test_merge_runs_rejects_mismatched_shapes():

@@ -1,5 +1,7 @@
 """Synthetic workload generation and trace CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,4 +93,13 @@ def test_load_rejects_ragged_series(tmp_path):
         "0,s1,10\n0,s2,20\n1,s1,11\n"
     )
     with pytest.raises(ConfigError):
+        load_trace_csv(path)
+
+
+def test_load_rejects_a_repeated_row(tmp_path):
+    # a later row must not overwrite an earlier one for the same interval and service
+    path = tmp_path / "repeat.csv"
+    path.write_text("interval,service_id,req_per_min\n0,s1,10\n1,s1,11\n0,s1,999\n")
+    want = re.escape(f"trace {path}:4: repeats interval 0 of s1")
+    with pytest.raises(ConfigError, match=want):
         load_trace_csv(path)
