@@ -73,11 +73,11 @@ def _read(where: str, doc: dict, key: str, kind, default=_REQUIRED):
     """``doc[key]``, or ``default`` when it is absent, under the document's type rule.
 
     Every value in a scenario document follows one rule: an integer is
-    integral (``is_integer``), a real is a finite ``is_real``, a flag is a
-    bool and a name is a string. Anything else, a string, a bool where a
-    number is due or a fraction where an integer is due, raises a
-    ConfigError naming ``where`` and ``key``. A missing key without a
-    default raises KeyError.
+    integral (``is_integer``) and fits in 64 bits, a real is a finite
+    ``is_real``, a flag is a bool and a name is a string. Anything else, a
+    string, a bool where a number is due or a fraction where an integer is
+    due, raises a ConfigError naming ``where`` and ``key``. A missing key
+    without a default raises KeyError.
     """
     value = doc.get(key, default)
     if value is _REQUIRED:
@@ -87,7 +87,8 @@ def _read(where: str, doc: dict, key: str, kind, default=_REQUIRED):
     elif kind is str:
         ok, due = isinstance(value, str), "a string"
     elif kind is int:
-        ok, due = is_integer(value), "an integer"
+        # numpy sizes and indexes with int64, so a larger count cannot run
+        ok, due = is_integer(value) and -2**63 <= value < 2**63, "an integer that fits in 64 bits"
     else:
         # an exact compare, so an int too large for a float is refused too
         ok, due = is_real(value) and abs(value) <= sys.float_info.max, "a finite number"
@@ -501,8 +502,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     A missing or unknown key, a value that breaks the type rule of
     :func:`_read`, a list entry that is not an object with a unique string
     ``id``, a VM, service or primitive id that holds the replica mark, or a
-    ``name`` that is not a single path component raises ConfigError; ranges
-    and references are left to :func:`validate_scenario`.
+    ``name`` that is not a single path component raises ConfigError. So
+    does a ``moaco``, ``moga`` or ``search`` setting out of its range:
+    :meth:`MoacoConfig.from_dict`, :meth:`MogaConfig.from_dict` and the
+    ``evaluations`` check refuse those here. Every other range, and every
+    reference, is left to :func:`validate_scenario`.
     """
     _block("scenario", doc, (
         "name", "topology", "primitives", "objectives", "regions", "model", "algorithms", "trace",
@@ -547,8 +551,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     moaco = MoacoConfig.from_dict(algorithms.get("moaco", {}))
     search = _block("search", algorithms.get("search", {}), ("evaluations",))
     # by default the flat searches get the colony's worst-case construction count
-    evaluations = search.get("evaluations", moaco.max_iteration * moaco.max_ant * moaco.max_run)
-    if not is_integer(evaluations) or evaluations < 1:
+    evaluations = _read("search", search, "evaluations", int,
+                        moaco.max_iteration * moaco.max_ant * moaco.max_run)
+    if evaluations < 1:
         raise ConfigError(f"search: evaluations must be a positive integer, got {evaluations!r}")
     trace = _block("trace", doc.get("trace", {}), ("peak", "noise", "profiles"))
     return Scenario(

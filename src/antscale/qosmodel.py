@@ -10,9 +10,9 @@ applied only when sampling what the environment "measured".
 Evaluation is batched: candidate decisions are rows of an integer matrix and
 all of a region's objectives are produced in one numpy pass, which is what
 keeps thousands of constructions per decision affordable. The fixed cost of
-a call matters as much as its cost per row: how objectives are read off the
-per-service results is planned once per model as index arrays, and a call
-runs a fixed, short sequence of array operations. The pass is laid out by
+a call matters as much as its cost per row: each objective is one ordered
+list of terms, laid out once per model as index tables, and a call runs a
+fixed, short sequence of array operations. The pass is laid out by
 primitive, service and objective rather than by row, so each step works on
 long contiguous rows of one quantity across all candidates. Every step is
 elementwise or a sum in a fixed order, so a row gets the same bits in any
@@ -63,9 +63,6 @@ _PLANES = {
     KIND_RELIABILITY: 2,
     KIND_AVAILABILITY: 3,
 }
-# how RegionModel reads an objective: one service's plane, a replica
-# group's weighted planes, or priced configuration values
-_SINGLE, _GROUP, _COST = range(3)
 
 
 def _sigmoid(x, out=None):
@@ -86,16 +83,11 @@ def _as_slice(index: list):
     return np.array(index)
 
 
-def _padded(rows: list, fill=None, dtype=int) -> np.ndarray:
-    """Ragged rows as the columns of one ``(widest, len(rows))`` array.
-
-    Each row is padded at its end with ``fill``, or with its own last item
-    when ``fill`` is None.
-    """
+def _padded(rows: list, fill: int) -> np.ndarray:
+    """Ragged rows as the columns of one ``(widest, len(rows))`` array, padded with ``fill``."""
     width = max(map(len, rows), default=0)
     return np.array(
-        [list(row) + [row[-1] if fill is None else fill] * (width - len(row)) for row in rows],
-        dtype=dtype,
+        [list(row) + [fill] * (width - len(row)) for row in rows], dtype=int,
     ).reshape(len(rows), width).T
 
 
@@ -111,6 +103,28 @@ def _sum_in_order(terms, shape: tuple) -> np.ndarray:
     for term in terms:
         total += term
     return total
+
+
+def _sum_terms(out: np.ndarray, plan: tuple, reads: tuple, weights: np.ndarray) -> np.ndarray:
+    """The sums a :meth:`RegionModel._sum_plan` lays out, one per entry of its objectives.
+
+    ``reads`` maps a step's read columns to its terms, one row of ``out``
+    each: first for the service kinds' steps, then for the price steps.
+    Each term is weighed by its ``weights`` entry. A sum's first term is
+    written into ``out`` and the rest added in place, in order; a sum
+    without terms is 0.0. Each sum is elementwise, so no entry's bits
+    depend on the others.
+    """
+    rank, stop, steps = plan
+    out[stop:] = 0.0
+    for first, part, rows, at, weight in steps:
+        term = reads[part](*at)
+        if first:
+            np.multiply(term, weights[weight], out=out[rows])
+        else:
+            term *= weights[weight]
+            out[rows] += term
+    return out[rank]
 
 
 def _capacity_terms(p: ModelParams, cap, pressure, services, mem, threads) -> tuple:
@@ -161,33 +175,33 @@ class RegionModel:
     construction cost is a few small loops, so rebuilding per decision call is
     also fine.
 
-    The per-objective work is planned once here. :meth:`predict_matrix`
-    holds the configuration as ``(n_primitives + 1, K)``, one row per
-    primitive across the ``K`` candidate rows, computes capacity and one
-    ``(n_services, K)`` plane per service-level kind (response time,
-    throughput, reliability, availability), then fills an ``(m, K)``
-    objective matrix from three plans:
+    The per-objective work is planned once here. Each objective is one sum
+    of terms in a fixed order (:attr:`_terms`):
 
-    - an objective whose owner has no replicas reads its owner's row of its
-      kind's plane, and all such objectives are filled by one gather;
-    - an objective of an owner with replicas sums its members' rows of its
-      kind's plane in member order, each times the member's share of the
-      group's workload (equal shares when the group has none), or times 1.0
-      for throughput;
+    - a service kind's objective (response time, throughput, reliability,
+      availability) sums its owner's replica group's rows of its kind's
+      plane in member order, each times the member's share of the group's
+      workload (equal shares when the group has none), or times 1.0 for
+      throughput; an owner without replicas is a group of one, whose share
+      is exactly 1.0;
     - a cost objective sums its priced primitives' configuration rows in
-      primitive order, each times its price.
+      primitive order, each times its price; with none priced it is 0.0.
 
-    It returns the ``(..., k, m)`` view of that matrix, without a copy. A
-    single member's share is exactly 1.0, so its gather is the weighted sum
-    of one term. Every sum starts at 0.0 and adds its terms in a fixed
-    order, each VM's PM CPU pressure and thread count included (the sums
+    :meth:`predict_matrix` holds the configuration as ``(n_primitives + 1,
+    K)``, one row per primitive across the ``K`` candidate rows, computes
+    capacity and one ``(n_services, K)`` plane per service kind, then adds
+    up an ``(m, K)`` objective matrix depth by depth: every sum's first
+    term, then every second one, and so on (:meth:`_sum_plan`). It returns
+    the ``(..., k, m)`` view of that matrix in objective order. Each sum writes
+    its first term and adds the rest in order, each VM's PM CPU pressure
+    and thread count start at 0.0 and add theirs in order (the sums
     ``np.bincount`` gives), and every other step is elementwise. So a row's
     bits depend only on its values: not on the other rows, its position,
     or the shape of its batch.
 
     :meth:`own_objective` evaluates one objective per row from the same
     steps (:func:`_capacity_terms`, :func:`_service_planes` and the same
-    weighted sums) on per-row gathers; :attr:`footprints` holds the region
+    sums) on per-row gathers; :attr:`footprints` holds the region
     primitives each objective reads; :meth:`unattainable` bounds each
     requirement over the grids.
     """
@@ -263,7 +277,7 @@ class RegionModel:
         ]
 
         self._kinds = [o.kind for o in self.objectives]
-        self._noise_kinds = np.array([o.kind != KIND_COST for o in self.objectives])
+        self._priced = np.array([o.kind == KIND_COST for o in self.objectives])
 
         # each service's replica group, and _weights without workloads
         roots = {}
@@ -271,60 +285,29 @@ class RegionModel:
             [roots.setdefault(root_id(s), len(roots)) for s in self._service_ids]
         )
         equal = 1.0 / np.bincount(self._root_of)[self._root_of]
-        self._equal_weights = np.append(equal, (1.0, 0.0))
+        self._base_weights = np.concatenate([equal, [1.0], [s.price for s in prim_specs.values()]])
 
-        # gather and sum plans (see the class docstring), built once per model;
-        # _table[j] says which plan objective j is in, _slot[j] its place there
+        # each objective's terms in summing order (see the class docstring):
+        # (plane, service, weight) and (column, weight), weights per _weights
         n_services = len(services)
-        single_js, single_planes, single_cols = [], [], []
-        group_js, group_planes, group_members, group_weights = [], [], [], []
-        cost_js, cost_reads, cost_prices = [], [], []
-        self._table = np.empty(len(self.objectives), dtype=int)
-        self._slot = np.empty(len(self.objectives), dtype=int)
-        for j, (obj, members) in enumerate(zip(self.objectives, self._member_idx)):
-            if obj.kind in _PLANES and len(members) == 1:
-                self._table[j], self._slot[j] = _SINGLE, len(single_js)
-                single_js.append(j)
-                single_planes.append(_PLANES[obj.kind])
-                single_cols.append(members[0])
-            elif obj.kind in _PLANES:
-                self._table[j], self._slot[j] = _GROUP, len(group_js)
-                group_js.append(j)
-                group_planes.append(_PLANES[obj.kind])
-                group_members.append(members)
-                # a member's share of the group's workload, or 1.0 (see _weights)
-                group_weights.append(
-                    [n_services] * len(members) if obj.kind == KIND_THROUGHPUT else members
+        self._terms = []
+        for obj, members in zip(self.objectives, self._member_idx):
+            if obj.kind in _PLANES:
+                tp = obj.kind == KIND_THROUGHPUT
+                self._terms.append([(_PLANES[obj.kind], s, n_services if tp else s)
+                                    for s in members])
+                continue
+            # replicas bill against the root service they serve
+            member_ids = {services[s].id for s in members}
+            member_vms = {services[s].vm for s in members}
+            self._terms.append(sorted(
+                (col, n_services + 1 + col) for col, spec in enumerate(prim_specs.values())
+                if spec.price and (
+                    (spec.scope == SCOPE_SERVICE and spec.owner in member_ids)
+                    or (spec.scope == SCOPE_VM and spec.owner in member_vms)
                 )
-            else:
-                # replicas bill against the root service they serve
-                member_ids = {services[s].id for s in members}
-                member_vms = {services[s].vm for s in members}
-                priced = sorted(
-                    (self._all_index[pid], spec.price) for pid, spec in prim_specs.items()
-                    if spec.price and (
-                        (spec.scope == SCOPE_SERVICE and spec.owner in member_ids)
-                        or (spec.scope == SCOPE_VM and spec.owner in member_vms)
-                    )
-                )
-                self._table[j], self._slot[j] = _COST, len(cost_js)
-                cost_js.append(j)
-                cost_reads.append([col for col, _ in priced])
-                cost_prices.append([price for _, price in priced])
-        self._single_js = np.array(single_js, dtype=int)
-        self._single_planes = np.array(single_planes, dtype=int)
-        self._single_cols = np.array(single_cols, dtype=int)
-        self._group_js = np.array(group_js, dtype=int)
-        self._group_planes = np.array(group_planes, dtype=int)
-        # the terms tables are (depth, objectives): every objective's first
-        # term, then every second one, and so on; a group is padded with its
-        # last member at weight 0.0, a cost with the configuration's trailing
-        # zero at price 0.0
-        self._group_members = _padded(group_members)
-        self._group_weights = _padded(group_weights, n_services + 1)
-        self._cost_js = np.array(cost_js, dtype=int)
-        self._cost_reads = _padded(cost_reads, len(self.all_pids))
-        self._cost_prices = _padded(cost_prices, 0.0, float)
+            ))
+        self._plan = self._sum_plan(np.arange(len(self.objectives)))
 
         # per VM, as (depth, VMs) tables summed in order: the VMs on its PM,
         # padded with the VM past the last, whose CPU and demand read 0.0,
@@ -355,11 +338,9 @@ class RegionModel:
         region_of = np.full(n_cols + 1, -1)
         region_of[self._region_cols] = np.arange(len(self.region_pids))
         self.footprints = np.zeros((len(self.objectives), len(self.region_pids)), dtype=bool)
-        for j, (table, slot) in enumerate(zip(self._table, self._slot)):
-            if table == _COST:
-                read = region_of[self._cost_reads[:, slot]]
-            else:
-                read = region_of[self._unit_cols[:, self._member_idx[j]]]
+        for j, terms in enumerate(self._terms):
+            read = region_of[np.array([col for col, _ in terms], dtype=int) if self._priced[j]
+                             else self._unit_cols[:, self._member_idx[j]]]
             self.footprints[j, read[read >= 0]] = True
         self._own_plans = {}    # objs.tobytes() -> plan, see _own_plan
 
@@ -431,71 +412,82 @@ class RegionModel:
             wl[:, None], self._rt_ref[:, None],
         )
 
-        out = np.empty((len(self.objectives), values.shape[0]))
-        out[self._single_js] = planes[self._single_planes, self._single_cols]
-        weights = self._weights(wl)[self._group_weights]
-        out[self._group_js] = _sum_in_order(
-            (planes[self._group_planes, members] * w[:, None]
-             for members, w in zip(self._group_members, weights)),
-            (self._group_js.size, config.shape[1]),
-        )
-        out[self._cost_js] = _sum_in_order(
-            (config[reads] * prices[:, None]
-             for reads, prices in zip(self._cost_reads, self._cost_prices)),
-            (self._cost_js.size, config.shape[1]),
-        )
-        return out.T.reshape(lead + (out.shape[0],))
+        return _sum_terms(
+            np.empty((len(self.objectives), values.shape[0])), self._plan,
+            (lambda kinds, services: planes[kinds, services], lambda cols: config[cols]),
+            self._weights(wl),
+        ).T.reshape(lead + (len(self.objectives),))
 
     def _weights(self, wl: np.ndarray) -> np.ndarray:
-        """Each service's share of its replica group's workload, then 1.0 and 0.0.
+        """The weight of every term: workload shares, then 1.0, then prices.
 
-        Equal shares when the group has no workload. A group objective weighs
-        its members' planes by their shares, or by 1.0 for throughput, and
-        its padding by 0.0 (the indices in ``_group_weights``).
+        Each service's share of its replica group's workload (equal shares
+        when the group has none) weighs its plane in a service kind's sum,
+        1.0 weighs it in a throughput's, and each primitive's price weighs
+        its configuration row in a cost.
         """
-        weights = self._equal_weights.copy()
+        weights = self._base_weights.copy()
         total = np.bincount(self._root_of, weights=wl)[self._root_of]
-        np.divide(wl, total, out=weights[:-2], where=total > 0.0)
+        np.divide(wl, total, out=weights[:wl.size], where=total > 0.0)
         return weights
+
+    def _sum_plan(self, objs: np.ndarray) -> tuple:
+        """The sums of objectives ``objs``, one per entry, as steps depth by depth.
+
+        Returns ``(rank, stop, steps)``. The sums are ranked with the
+        service kinds' first, then the priced ones, then from ``stop`` on
+        those without terms; each part runs by falling term count, so the
+        sums that have a ``d``-th term lead their part, and ``rank[i]`` is
+        entry ``i``'s place. A step is ``(first, part, rows, reads,
+        weights)``: whether it holds the first terms, part 0 (service
+        kinds) or 1 (prices), the slice of ranked sums it adds to, its
+        terms' read columns, ``(planes, services)`` or ``(columns,)``, and
+        their indices into :meth:`_weights`, as a column.
+        """
+        terms = [self._terms[j] for j in objs]
+        count = np.array([len(t) for t in terms], dtype=int)
+        order = np.lexsort((-count, self._priced[objs], count == 0))
+        ranked = [terms[i] for i in order]
+        split = int(np.count_nonzero(~self._priced[objs] & (count > 0)))
+        steps = []
+        for d in range(count.max(initial=0)):
+            for part, start, sums in ((0, 0, ranked[:split]), (1, split, ranked[split:])):
+                layer = [t[d] for t in sums if len(t) > d]
+                if layer:
+                    *at, weight = (np.array(column) for column in zip(*layer))
+                    steps.append((d == 0, part, slice(start, start + len(layer)), tuple(at),
+                                  weight[:, None]))
+        return np.argsort(order), int(np.count_nonzero(count)), steps
 
     def _own_plan(self, objs: np.ndarray) -> tuple:
         """How :meth:`own_objective` reads each row's objective, built once per ``objs``.
 
-        A unit is one member service of one row's objective. Returns
-        ``(gather, peers, services, singles, groups, costs)``: as
-        ``(depth, units)`` tables, each unit's :attr:`_unit_cols` as flat
-        indices into one slice of configuration rows and its PM's VMs, then
-        each unit's service; the rows, units and planes of the objectives
-        whose owner has no replicas; the rows and planes of the replica
-        groups' objectives, with ``(depth, rows)`` tables of their units, one
-        per padded member of the group, and weight indices; the rows of the
-        cost objectives, with ``(depth, rows)`` tables of their reads, as
-        flat indices, and prices.
+        A unit is one service-kind term of one row's sum. Returns
+        ``(gather, peers, services, plan)``: as ``(depth, units)`` tables,
+        each unit's :attr:`_unit_cols` as flat indices into one slice of
+        configuration rows and its PM's VMs, then each unit's service; and
+        the rows' :meth:`_sum_plan`, its steps reading ``(planes, units)``
+        and ``(flat configuration indices,)``.
         """
         key = objs.tobytes()
         if key in self._own_plans:
             return self._own_plans[key]
-        tables, slots = self._table[objs], self._slot[objs]
-        single_rows, group_rows, cost_rows = (
-            np.flatnonzero(tables == t) for t in (_SINGLE, _GROUP, _COST)
-        )
-        single_slots, group_slots = slots[single_rows], slots[group_rows]
-        n_singles = single_rows.size
-        members = self._group_members[:, group_slots]
-        units = n_singles + np.arange(members.size).reshape(members.shape)
-        services = np.concatenate([self._single_cols[single_slots], members.ravel()])
-        unit_rows = np.concatenate([single_rows, np.tile(group_rows, members.shape[0])])
+        rank, stop, steps = self._sum_plan(objs)
+        order = np.argsort(rank)
         n_cols = len(self.all_pids) + 1
-        gather = unit_rows * n_cols + self._unit_cols[:, services]
-        cost_slots = slots[cost_rows]
-        plan = (
-            gather, self._unit_peers[:, services], services,
-            (single_rows, np.arange(n_singles), self._single_planes[single_slots]),
-            (group_rows, self._group_planes[group_slots], units,
-             self._group_weights[:, group_slots]),
-            (cost_rows, cost_rows * n_cols + self._cost_reads[:, cost_slots],
-             self._cost_prices[:, cost_slots]),
-        )
+        services, unit_rows, own_steps = [], [], []
+        for first, part, rows, at, weight in steps:
+            if part == 0:
+                kinds, members = at
+                at = (kinds, np.arange(len(services), len(services) + members.size))
+                services.extend(members)
+                unit_rows.extend(order[rows])
+            else:
+                at = (order[rows] * n_cols + at[0],)
+            own_steps.append((first, part, rows, at, weight))
+        services = np.array(services, dtype=int)
+        plan = (np.array(unit_rows, dtype=int) * n_cols + self._unit_cols[:, services],
+                self._unit_peers[:, services], services, (rank, stop, own_steps))
         self._own_plans[key] = plan
         return plan
 
@@ -515,14 +507,13 @@ class RegionModel:
 
         Only the rows' member services get capacity and planes, one unit
         each, from their footprint columns through the steps
-        :meth:`predict_matrix` takes per service, and the replica groups'
-        and costs' weighted sums add the same terms in the same order. The
-        in-order sums are padded with ``+0.0``, which leaves them unchanged.
+        :meth:`predict_matrix` takes per service, and each row's sum adds
+        the same terms in the same order.
         """
         values = np.asarray(values, dtype=float)
         lead = values.shape[:-1]
         k = lead[-1]
-        gather, peers, services, singles, groups, costs = self._own_plan(np.asarray(objs))
+        gather, peers, services, plan = self._own_plan(np.asarray(objs))
         p = self.params
         rows = self._config_rows(values.reshape(-1, values.shape[-1]), env)
         rows = rows.reshape(-1, k * rows.shape[1])                  # (slices, k * columns)
@@ -543,22 +534,11 @@ class RegionModel:
             p, cpu_term, read[:, -1], overload_term, wl[services], self._rt_ref[services],
         )
 
-        out = np.empty((rows.shape[0], k))
-        single_rows, single_units, single_planes = singles
-        out[:, single_rows] = planes[single_planes, :, single_units].T
-        group_rows, group_planes, group_units, group_weights = groups
-        weights = self._weights(wl)[group_weights]
-        out[:, group_rows] = _sum_in_order(
-            (planes[group_planes, :, units] * w[:, None]
-             for units, w in zip(group_units, weights)),
-            (group_rows.size, out.shape[0]),
-        ).T
-        cost_rows, cost_reads, cost_prices = costs
-        out[:, cost_rows] = _sum_in_order(
-            (rows[:, reads] * prices for reads, prices in zip(cost_reads, cost_prices)),
-            (out.shape[0], cost_rows.size),
-        )
-        return out.reshape(lead)
+        return _sum_terms(
+            np.empty((k, rows.shape[0])), plan,
+            (lambda kinds, units: planes[kinds, :, units], lambda reads: rows[:, reads].T),
+            self._weights(wl),
+        ).T.reshape(lead)
 
     def unattainable(self, env, grids) -> np.ndarray:
         """Requirements that no decision on the grids can meet, one bool per objective.
@@ -590,9 +570,6 @@ class RegionModel:
         wl = self._workloads(env)
 
         best = np.full(len(self.objectives), np.nan)
-        best[self._cost_js] = np.minimum(
-            self._cost_prices * low[self._cost_reads], self._cost_prices * high[self._cost_reads],
-        ).sum(axis=0)
         monotone = (
             np.isfinite(astuple(p)).all() and p.min_capacity > 0 and p.cpu_contention_limit > 0
             and min(p.cpu_rate, p.thread_rate, p.overload_penalty, p.rt_base_ms,
@@ -609,9 +586,12 @@ class RegionModel:
                 p, cpu_term[self._vm_of_service], high[self._thr_col], overload_term,
                 wl, self._rt_ref,
             )
-            best[self._single_js] = planes[self._single_planes, self._single_cols]
-            for j in self._group_js:
-                member_best = planes[_PLANES[self._kinds[j]], self._member_idx[j]]
+        prices = self._base_weights
+        for j, terms in enumerate(self._terms):
+            if self._priced[j]:
+                best[j] = sum(min(prices[w] * low[col], prices[w] * high[col]) for col, w in terms)
+            elif monotone:
+                member_best = np.array([planes[kind, s] for kind, s, _ in terms])
                 sign = self.direction_signs[j]
                 best[j] = (member_best.sum() if self._kinds[j] == KIND_THROUGHPUT
                            else sign * (sign * member_best).max())
@@ -636,7 +616,7 @@ class RegionModel:
         """
         clean = self.predict_vector(decision, env)
         factors = rng.normal(1.0, self.params.noise_std, size=clean.shape)
-        noisy = np.where(self._noise_kinds, clean * factors, clean)
+        noisy = np.where(self._priced, clean, clean * factors)
         wl = self._workloads(env)
         for j, kind in enumerate(self._kinds):
             if kind == KIND_RESPONSE_TIME:

@@ -352,6 +352,9 @@ def test_cli_thread_count_reads_environment(tmp_path, monkeypatch, capsys):
     ("alpha", "4"), ("time_budget_s", 5.0),
     # too large for a float: refused as it loads, not with an OverflowError in the run
     pytest.param("alpha", 10**400, id="alpha-10**400"),
+    # a count numpy cannot size or index with: refused as it loads, not in the run
+    pytest.param("max_ant", 10**400, id="max_ant-10**400"),
+    pytest.param("max_run", 2**63, id="max_run-2**63"),
 ])
 def test_cli_run_rejects_a_bad_moaco_setting(tmp_path, capsys, setting, value):
     doc = smoke_doc()
@@ -386,6 +389,9 @@ def assert_rule_plan_refused(tmp_path, capsys, block, setting, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {block}: ") and setting in err
     assert not (tmp_path / "out").exists()
+    assert cli.main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: ") and setting in err
 
 
 def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path, capsys):
@@ -396,7 +402,7 @@ def test_bad_moga_setting_fails_a_plan_that_does_not_run_moga(tmp_path, capsys):
         assert_rule_plan_refused(tmp_path, capsys, "moga", setting, value)
 
 
-@pytest.mark.parametrize("value", [0, -3, 7.5, True, "200"])
+@pytest.mark.parametrize("value", [0, -3, 7.5, True, "200", pytest.param(2**63, id="2**63")])
 def test_bad_search_evaluations_fail_a_plan_that_does_not_search(tmp_path, capsys, value):
     assert_rule_plan_refused(tmp_path, capsys, "search", "evaluations", value)
 
@@ -471,6 +477,8 @@ def smoke_unmanaged_s2_profile() -> dict:
      "primitive v1.cpu: price must be a finite number"),
     (functools.partial(smoke_entry, "primitives", "v1.cpu", "step", 2.9),
      "primitive v1.cpu: step must be an integer"),
+    (functools.partial(smoke_entry, "primitives", "v1.cpu", "hard_max", 2**63),
+     "primitive v1.cpu: hard_max must be an integer that fits in 64 bits"),
     (functools.partial(smoke_entry, "objectives", "s1.rt", "threshold", True),
      "objective s1.rt: threshold must be a finite number"),
     (functools.partial(smoke_entry, "services", "s2", "managed", "false"),
@@ -534,7 +542,8 @@ def smoke_unmanaged_s2_profile() -> dict:
 ], ids=[
     "custom-kind", "cost-model", "throughput-price-sum", "minimized-throughput",
     "maximized-cost", "no-vm-memory", "moaco-rho", "nan-model-coefficient", "triple-split",
-    "nan-string-price", "nan-price", "fractional-step", "true-threshold", "string-managed",
+    "nan-string-price", "nan-price", "fractional-step", "int64-hard-max", "true-threshold",
+    "string-managed",
     "primitive-key-typo", "nan-trace-noise", "string-trace-peak", "negative-trace-peak",
     "unknown-trace-key", "trace-profiles-list", "string-trace-profile", "negative-trace-profile",
     "unknown-service-profile", "unmanaged-service-profile", "unknown-algorithm",

@@ -7,9 +7,12 @@ golden file that changes records a behaviour change, and the change that
 causes it says why; a numpy upgrade counts as such a change. The QoS model
 makes no BLAS call, so a BLAS upgrade does not. The model's bits do depend
 on the CPU features numpy dispatches to for float64 ``exp`` and ``**``:
-with AVX-512 dispatch disabled, about 5 % of those results changed in
-their last bit. The golden choices survived that on these two plans, but
-the bytes are only promised on a CPU with the dispatch that wrote them.
+with AVX-512 dispatch disabled, about 5 % of those results change in
+their last bit. The golden choices survive that on these two plans, and
+``test_plan_bytes_hold_without_avx512_dispatch`` re-runs both in a
+subprocess with that dispatch disabled and requires the same bytes; it is
+skipped on a CPU numpy dispatches no AVX-512 code to. Other CPUs are not
+covered: the bytes are promised only on the dispatch that wrote them.
 
 Regenerate after an intended behaviour change with
 
@@ -17,7 +20,10 @@ Regenerate after an intended behaviour change with
 """
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,8 +31,11 @@ import pytest
 
 from antscale import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SCENARIOS = TESTS.parent / "scenarios"
+# numpy's AVX-512 dispatch targets; their float64 exp and ** round differently
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 # plan name -> `antscale run` arguments
 PLANS = {
@@ -61,6 +70,26 @@ def test_plan_reproduces_golden_bytes(name, tmp_path):
     golden = GOLDEN / name
     assert (plan_dir / "summary.csv").read_bytes() == (golden / "summary.csv").read_bytes()
     assert interval_digests(plan_dir) == (golden / "intervals.sha256").read_text()
+
+
+@pytest.mark.slow
+def test_plan_bytes_hold_without_avx512_dispatch(tmp_path):
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if not features.get("X86_V4"):
+        pytest.skip("numpy dispatches no AVX-512 code on this CPU")
+    recheck = (
+        "import sys, test_golden\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4'], 'AVX-512 dispatch is still on'\n"
+        "for name in test_golden.PLANS:\n"
+        "    test_golden.test_plan_reproduces_golden_bytes(name, test_golden.Path(sys.argv[1]))\n"
+    )
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", recheck, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def regenerate(scratch: Path) -> None:

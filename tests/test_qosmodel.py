@@ -350,7 +350,7 @@ def reference_violation_counts(model, vectors):
     return (signed_gap < 0).sum(axis=1)
 
 
-ORACLE_CASES = ("smoke", "smoke-replica", "triple_vm", "triple_vm-replica")
+ORACLE_CASES = ("smoke", "smoke-replica", "smoke-unpriced", "triple_vm", "triple_vm-replica")
 WORKLOAD = st.one_of(st.just(0.0), st.floats(0.5, 500.0))
 
 
@@ -360,11 +360,18 @@ def oracle_case(name):
 
     The replica cases step a simulator until its first scale-out clone is in
     place: the smoke one is test_simulator's overloaded scenario, the
-    triple_vm one has a pm1 that cannot fit its three VMs' CPU bounds.
+    triple_vm one has a pm1 that cannot fit its three VMs' CPU bounds. The
+    unpriced case prices only s1's threads, so s2.cost is a sum of no
+    terms and s1.cost one of one.
     """
-    base, _, replica = name.partition("-")
+    base, _, variant = name.partition("-")
+    replica = variant == "replica"
     doc = smoke_doc() if base == "smoke" else triple_doc()
     services = [svc["id"] for svc in doc["topology"]["services"]]
+    if variant == "unpriced":
+        for spec in doc["primitives"]:
+            if spec["id"] in ("v1.cpu", "v1.memory", "s2.thread"):
+                spec["price"] = 0
     if replica and base == "smoke":
         doc["topology"]["pms"] = [
             {"id": "pm1", "capacity": {"cpu": 25, "memory": 2000}},
@@ -591,6 +598,26 @@ def test_footprints_follow_the_topology(triple_scenario):
     assert read("s3.rt") == cpus | {"v2.memory", "s3.thread", "s4.thread"}
     assert read("s3.tp") == read("s3.rel") == read("s3.avail") == read("s3.rt")
     assert read("s3.cost") == {"v2.cpu", "v2.memory", "s3.thread"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 150]),
+    seed=st.integers(0, 2**32 - 1),
+    loads=st.lists(WORKLOAD, min_size=10, max_size=10),
+)
+def test_an_unpriced_cost_is_zero_reads_nothing_and_is_never_unattainable(k, seed, loads):
+    model, rows, env = oracle_inputs("smoke-unpriced", k, seed, loads)
+    _, _, low, high, specs = oracle_case("smoke-unpriced")
+    empty, single = (model.objective_ids.index(oid) for oid in ("s2.cost", "s1.cost"))
+    assert not model.footprints[empty].any()
+    assert [model.region_pids[c] for c in np.flatnonzero(model.footprints[single])] == ["s1.thread"]
+    out = model.predict_matrix(rows, env)
+    assert (bits(out[:, empty]) == 0).all()               # +0.0, not -0.0
+    assert np.array_equal(out[:, single], rows[:, model.region_pids.index("s1.thread")]
+                          * specs["s1.thread"].price)
+    grids = [np.array([lo, hi], dtype=float) for lo, hi in zip(low, high)]
+    assert not model.unattainable(env, grids)[empty]
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
